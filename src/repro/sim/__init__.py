@@ -17,7 +17,6 @@ from repro.sim.instrumentation import (
     rounds_instrumentation,
 )
 from repro.sim.network import Envelope, Network
-from repro.sim.timeline import BucketTimeline
 from repro.sim.process import Agent, Party
 from repro.sim.runner import RunResult, World, run_broadcast
 from repro.sim.scheduler import Simulator
@@ -30,7 +29,6 @@ from repro.sim.transcript import (
 
 __all__ = [
     "Agent",
-    "BucketTimeline",
     "DelayPolicy",
     "Envelope",
     "Event",

@@ -6,7 +6,7 @@ worker processes (:func:`repro.sim.shard._shard_main`), advancing all
 shards in lockstep one *window* at a time:
 
 1. every worker reports its next pending instant — the earlier of its
-   local timeline's head and its oldest undelivered inbound record;
+   local event queue's head and its oldest undelivered inbound record;
 2. the coordinator picks the global minimum ``T`` and the window
    ``[T, T + L)``, where the lookahead ``L`` is the delay policy's
    :meth:`~repro.sim.delays.DelayPolicy.min_delay` (shaved by a
@@ -120,8 +120,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "until": until,
                 "instrumentation": {
                     "name": parent_instr.name,
-                    "recycle_events": parent_instr.recycle_events,
-                    "timeline": parent_instr.timeline,
                     "batch_deliveries": parent_instr.batch_deliveries,
                 },
             }
@@ -281,12 +279,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         messages_sent=sum(s["messages_sent"] for s in summaries),
         final_time=final_time,
         events_processed=sum(s["events_processed"] for s in summaries),
-        events_recycled=sum(s["events_recycled"] for s in summaries),
-        bucket_appends=sum(s["bucket_appends"] for s in summaries),
-        heap_pushes_avoided=sum(
-            s["heap_pushes_avoided"] for s in summaries
-        ),
-        timeline=parent_instr.timeline,
         deliveries_batched=sum(
             s["deliveries_batched"] for s in summaries
         ),

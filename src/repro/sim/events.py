@@ -11,19 +11,6 @@ queue drops flagged entries when they surface at the heap top (or in a bulk
 compaction once they dominate the heap).  Live-entry bookkeeping is kept
 incrementally — ``len(queue)`` and ``bool(queue)`` are O(1), never a heap
 scan — which matters because the scheduler polls the queue once per event.
-
-Arena mode (``recycle=True``): message deliveries dominate event volume
-(O(n^2) per protocol round) and their :class:`Event` cells never escape —
-the network keeps no handle, so nothing can cancel them after the fact.
-Such events are pushed with ``transient=True`` and their cells are
-*recycled* through a freelist once the scheduler has run them, replacing
-one object allocation per delivery with a handful of slot stores.  Cell
-identity is an implementation detail for transient events; timer events
-(whose handles parties retain for :meth:`Event.cancel`) are never recycled.
-The ``perf`` instrumentation preset enables the arena; ``full`` keeps
-allocating fresh cells so event identity semantics stay exactly as before.
-Recycling never affects ordering — heap entries are plain-data tuples and
-``seq`` still increments per push — so both modes replay the same schedule.
 """
 from __future__ import annotations
 
@@ -32,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import SimulationError
 
 #: Compaction triggers only past this many cancelled entries (and only when
 #: they outnumber live ones), so small queues never pay the rebuild.
@@ -62,8 +48,6 @@ class Event:
     action: Callable[..., None] = field(compare=False)
     args: tuple = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)
-    #: Freelist-eligible: no handle escaped, recycled after firing.
-    transient: bool = field(default=False, compare=False)
     label: str = field(default="", compare=False)
     #: Back-reference to the owning queue while the event sits in its heap;
     #: cleared on pop so a late ``cancel()`` cannot corrupt the counters.
@@ -87,65 +71,13 @@ class EventQueue:
     ``seq`` is unique, so comparisons always resolve within the plain-data
     prefix and run entirely in C — the generated ``Event.__lt__`` never
     enters the heap's hot path.
-
-    :class:`~repro.sim.timeline.BucketTimeline` subclasses this queue and
-    replaces the heap with a bucketed calendar (same observable pop order);
-    the cell allocation/recycling machinery and the live/cancelled
-    bookkeeping below are shared by both backends.
     """
 
-    def __init__(self, *, recycle: bool = False) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, bytes, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0  # non-cancelled events currently in the heap
         self._cancelled = 0  # cancelled events awaiting lazy removal
-        self._recycle = recycle
-        self._free: list[Event] = []
-        self.events_recycled = 0  # transient cells reused from the freelist
-        #: Calendar-backend counters; a heap queue never moves them off 0.
-        self.bucket_appends = 0
-        self.heap_pushes_avoided = 0
-
-    def _obtain_cell(
-        self,
-        time: float,
-        priority: int,
-        order_key: bytes,
-        seq: int,
-        action: Callable[..., None],
-        args: tuple,
-        transient: bool,
-        label: str,
-    ) -> Event:
-        """A filled event cell: freelist reuse for transient pushes when
-        the arena is on, a fresh allocation otherwise."""
-        if transient and self._recycle:
-            free = self._free
-            if free:
-                event = free.pop()
-                event.time = time
-                event.priority = priority
-                event.order_key = order_key
-                event.seq = seq
-                event.action = action
-                event.args = args
-                # Reset the flag here, not only in release(): a caller
-                # that wrongly retained a transient handle and cancelled
-                # it while the cell sat in the freelist must not kill the
-                # unrelated delivery that next reuses the cell.
-                event.cancelled = False
-                event.label = label
-                event.queue = self
-                self.events_recycled += 1
-                return event
-            return Event(
-                time, priority, order_key, seq, action, args,
-                transient=True, label=label, queue=self,
-            )
-        return Event(
-            time, priority, order_key, seq, action, args,
-            label=label, queue=self,
-        )
 
     def push(
         self,
@@ -156,15 +88,13 @@ class EventQueue:
         order_key: bytes = b"",
         label: str = "",
         args: tuple = (),
-        transient: bool = False,
     ) -> Event:
         """Schedule ``action(*args)`` at ``time``; returns a cancellable
-        handle.  ``transient=True`` marks the event as handle-free so an
-        arena-mode queue may recycle its cell after the scheduler runs it
-        — callers must not retain the returned handle for such events."""
+        handle."""
         seq = next(self._counter)
-        event = self._obtain_cell(
-            time, priority, order_key, seq, action, args, transient, label
+        event = Event(
+            time, priority, order_key, seq, action, args,
+            label=label, queue=self,
         )
         heapq.heappush(self._heap, (time, priority, order_key, seq, event))
         self._live += 1
@@ -179,7 +109,6 @@ class EventQueue:
         priority: int = 0,
         order_key: bytes = b"",
         label: str = "",
-        transient: bool = False,
     ) -> int:
         """Schedule ``action(*args)`` at ``time`` for every tuple in
         ``args_seq``, sharing one ``(priority, order_key)`` prefix.
@@ -187,20 +116,18 @@ class EventQueue:
         Exactly equivalent to calling :meth:`push` once per tuple (same
         ``seq`` assignment, same pop order) — the batch form exists so a
         multicast fan-out crosses the queue boundary once per distinct
-        delivery instant, which the calendar backend turns into one
-        bucket lookup for the whole run.  No handles are returned: batch
-        pushes are for fire-and-forget deliveries (use ``transient=True``
-        under the arena); returns the number of events scheduled.
+        delivery instant.  No handles are returned: batch pushes are for
+        fire-and-forget deliveries; returns the number of events
+        scheduled.
         """
         heap = self._heap
         counter = self._counter
-        obtain = self._obtain_cell
         heappush = heapq.heappush
         for args in args_seq:
             seq = next(counter)
-            event = obtain(
-                time, priority, order_key, seq, action, args, transient,
-                label,
+            event = Event(
+                time, priority, order_key, seq, action, args,
+                label=label, queue=self,
             )
             heappush(heap, (time, priority, order_key, seq, event))
         self._live += len(args_seq)
@@ -212,61 +139,19 @@ class EventQueue:
         while heap:
             event = heapq.heappop(heap)[4]
             if event.cancelled:
-                self._discard_cancelled(event)
+                self._cancelled -= 1
                 continue
             event.queue = None
             self._live -= 1
             return event
         return None
 
-    def _discard_cancelled(self, event: Event) -> None:
-        """Drop a cancelled entry surfacing from the backend structure.
-
-        Cancelled *transient* cells go back to the freelist: they were
-        heading for recycling anyway, and skipping them here used to leak
-        them from the arena — cancellation-heavy adversary runs would
-        slowly regress to plain allocation.
-
-        Idempotent on already-released cells: a stale duplicate
-        reference surfacing from the backend structure must not
-        decrement the cancelled count a second time or re-release the
-        cell (which :meth:`release` would reject).
-        """
-        if event.action is _released:
-            return
-        self._cancelled -= 1
-        if event.transient and self._recycle:
-            event.queue = None
-            self.release(event)
-
-    def release(self, event: Event) -> None:
-        """Return a fired transient event's cell to the freelist.
-
-        Only the scheduler calls this, after ``event.action`` has run.
-        The callback references are dropped so the freelist never pins
-        message payloads beyond the delivery that carried them.
-
-        Releasing the same cell twice would enqueue it on the freelist
-        twice, so two future deliveries would share one cell — the
-        second reuse silently rewrites the first's schedule.  That
-        corruption is unlocalizable after the fact, so the double
-        release itself is the error (both backends share this guard).
-        """
-        if event.action is _released:
-            raise SimulationError(
-                f"event cell released twice (label={event.label!r}); "
-                "a transient cell must be released exactly once"
-            )
-        event.action = _released
-        event.args = ()
-        event.cancelled = False
-        self._free.append(event)
-
     def peek_time(self) -> float | None:
         """Time of the earliest pending event without removing it."""
         heap = self._heap
         while heap and heap[0][4].cancelled:
-            self._discard_cancelled(heapq.heappop(heap)[4])
+            heapq.heappop(heap)
+            self._cancelled -= 1
         if heap:
             return heap[0][0]
         return None
@@ -283,14 +168,9 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries (amortized O(live))."""
-        kept = []
-        for entry in self._heap:
-            if entry[4].cancelled:
-                self._discard_cancelled(entry[4])
-            else:
-                kept.append(entry)
-        self._heap = kept
+        self._heap = [entry for entry in self._heap if not entry[4].cancelled]
         heapq.heapify(self._heap)
+        self._cancelled = 0
 
     def __len__(self) -> int:
         return self._live
@@ -298,7 +178,3 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-
-def _released() -> None:
-    """Placeholder action on freelist cells; firing one is a queue bug."""
-    raise RuntimeError("released event cell fired — freelist misuse")

@@ -20,9 +20,9 @@ Everything is deterministic given the plan's ``seed``.  The plan's
 :class:`~repro.sim.delays.UniformDelay`'s modes):
 
 * ``"sequential"`` (default, the historical behavior): one
-  ``random.Random`` consumed in scheduling order, which both timeline
-  backends replay identically — so the same seed yields the *same*
-  post-heal flush schedule on the heap and the bucket calendar
+  ``random.Random`` consumed in scheduling order, which every
+  instrumentation preset replays identically — so the same seed yields
+  the *same* post-heal flush schedule in every preset
   (``tests/sim/test_faults.py`` pins this down).  Order-dependent, so a
   sequential plan forces single-process execution.
 * ``"counter"``: each routed copy's draws are a pure hash of
@@ -749,8 +749,7 @@ class FaultInjector:
     One instance per world (or, with ``stream="counter"``, one per
     shard).  With the default sequential stream all randomness comes
     from one ``random.Random(plan.seed)`` consumed in scheduling order,
-    which is identical across timeline backends and instrumentation
-    presets — so a seed pins the entire fault schedule.  With the
+    which is identical across instrumentation presets — so a seed pins the entire fault schedule.  With the
     counter stream every routed copy draws from a
     :class:`~repro.sim.delays.CounterStream` keyed by its link, so
     injectors compiled independently per shard reproduce the same

@@ -57,10 +57,7 @@ class Instrumentation:
     registers here (:meth:`register_quorum_tracker`), and
     :attr:`quorum_checks` / :attr:`equivocations_detected` aggregate the
     trackers' tallies at result time — the hot path only increments a
-    slot on its own tracker.  ``recycle_events`` opts the simulator's
-    event queue into arena mode (cells of fired deliveries are reused);
-    it is a pure allocation strategy, enabled by the ``perf`` preset and
-    off under ``full`` so event identity semantics stay untouched there.
+    slot on its own tracker.
     """
 
     def __init__(
@@ -70,8 +67,6 @@ class Instrumentation:
         rounds: bool = True,
         transcripts: bool = True,
         envelopes: bool = False,
-        recycle_events: bool = False,
-        timeline: str = "bucket",
         batch_deliveries: bool = True,
     ):
         self.name = name
@@ -84,18 +79,12 @@ class Instrumentation:
         #: with observers off; the batched-delivery parity suite uses it
         #: to pin byte-identical outcomes across both paths.
         self.batch_deliveries = batch_deliveries
-        #: Event-queue backend for the world's simulator.  ``"bucket"``
-        #: (the calendar timeline) is the default in every preset —
-        #: backends replay byte-identical schedules, so this is a pure
-        #: performance knob; ``"heap"`` is kept for parity checks.
-        self.timeline = timeline
         self.accountant: RoundAccountant | None = (
             RoundAccountant() if rounds else None
         )
         self._transcripts = transcripts
         self.envelopes: list["Envelope"] | None = [] if envelopes else None
         self.commit_order: list[PartyId] = []
-        self.recycle_events = recycle_events
         self._quorum_trackers: list[Any] = []
         #: Runtime invariant monitors (:mod:`repro.sim.invariants`),
         #: attached by the world; empty for every preset by default, so
@@ -230,15 +219,8 @@ def rounds_instrumentation() -> Instrumentation:
 
 
 def perf_instrumentation() -> Instrumentation:
-    """Commit tracking only: the fast path for sweeps and benchmarks.
-
-    Also the only preset that enables the event arena (``recycle_events``):
-    delivery-event cells are reused after firing, shedding one allocation
-    per message at n >= 100 scales.
-    """
-    return Instrumentation(
-        name="perf", rounds=False, transcripts=False, recycle_events=True
-    )
+    """Commit tracking only: the fast path for sweeps and benchmarks."""
+    return Instrumentation(name="perf", rounds=False, transcripts=False)
 
 
 #: Preset name -> factory.

@@ -119,11 +119,11 @@ class Network:
             instrumentation.envelopes if instrumentation is not None else None
         )
         # Run batching: a multicast's equal-delay copies become *one*
-        # transient event (``_deliver_many``).  Only legal when nothing
-        # observes or perturbs individual copies — the gate below also
-        # requires accountant/envelopes/injector to be absent; this flag
-        # is the instrumentation bundle's explicit opt-out so parity
-        # suites can force the per-copy path with observers off.
+        # event (``_deliver_many``).  Only legal when nothing observes or
+        # perturbs individual copies — the gate below also requires
+        # accountant/envelopes/injector to be absent; this flag is the
+        # instrumentation bundle's explicit opt-out so parity suites can
+        # force the per-copy path with observers off.
         self._batch_runs = bool(
             getattr(instrumentation, "batch_deliveries", True)
         )
@@ -193,9 +193,7 @@ class Network:
         (``delays_for_multicast``), computes **one** scheduling
         ``order_key`` digest — and none at all if the adversary drops
         every copy — and crosses the scheduler boundary **once per
-        distinct delivery instant** (``schedule_batch``): on the calendar
-        timeline a fixed-delay multicast's n-1 copies cost one bucket
-        lookup total.  Byzantine ``delay_override`` fan-outs keep the
+        distinct delivery instant** (``schedule_batch``).  Byzantine ``delay_override`` fan-outs keep the
         exact per-recipient path (the override, not the policy, sets the
         delay).
         """
@@ -234,8 +232,8 @@ class Network:
             and self._envelopes is None
         ):
             # Fully batched fan-out: each run of >= 2 equal delays is one
-            # transient event carrying the recipient slice; the per-copy
-            # loop moves inside ``_deliver_many``.  Legal only with no
+            # event carrying the recipient slice; the per-copy loop
+            # moves inside ``_deliver_many``.  Legal only with no
             # per-copy observer (accountant/envelopes) and no injector —
             # their seams are per copy — and only for runs delivered
             # strictly after ``send_time`` (a same-instant run's copies
@@ -274,7 +272,6 @@ class Network:
                         schedule_batch(
                             deliver_time, deliver, batch,
                             order_key=order_key, label="deliver",
-                            transient=True,
                         )
                         batch = []
                     if delay == INF:
@@ -306,7 +303,7 @@ class Network:
             if batch:
                 schedule_batch(
                     deliver_time, deliver, batch, order_key=order_key,
-                    label="deliver", transient=True,
+                    label="deliver",
                 )
         else:
             for recipient, delay in zip(recipients, delays):
@@ -391,7 +388,6 @@ class Network:
                 order_key=order_key,
                 label="deliver",
                 args=(sender, recipients[start], payload, None),
-                transient=True,
             )
             return
         if deliver_time <= send_time:
@@ -401,7 +397,6 @@ class Network:
                 [(sender, r, payload, None) for r in recipients[start:end]],
                 order_key=order_key,
                 label="deliver",
-                transient=True,
             )
             return
         # The full fan-out reuses the cached recipient list itself (the
@@ -419,7 +414,6 @@ class Network:
             order_key=order_key,
             label="deliver-run",
             args=(sender, run, payload),
-            transient=True,
         )
 
     def _deliver_many(
@@ -570,9 +564,7 @@ class Network:
         # measurable slice of the delivery hot path at n >= 100, and the
         # endpoints stay recoverable from the event's bound ``args``.
         # Binding the arguments on the event (instead of a ``partial``)
-        # avoids one allocation per message, and ``transient=True`` lets
-        # the arena-mode queue recycle the event cell after delivery —
-        # the network never retains delivery-event handles.
+        # avoids one allocation per message.
         if transfer is not None:
             self._sim.schedule_at(
                 deliver_time,
@@ -580,7 +572,6 @@ class Network:
                 order_key=order_key,
                 label="deliver",
                 args=(sender, recipient, payload, msg_id, transfer),
-                transient=True,
             )
             return
         self._sim.schedule_at(
@@ -589,7 +580,6 @@ class Network:
             order_key=order_key,
             label="deliver",
             args=(sender, recipient, payload, msg_id),
-            transient=True,
         )
 
     def _deliver(

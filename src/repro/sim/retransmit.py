@@ -26,8 +26,8 @@ force the "retransmit raced the ack" duplicate.
 
 Determinism: the timer chain is a pure function of the send schedule
 (no RNG of its own; resend delays come from the world's seeded policy
-and the injector's plan-seeded stream), so both timeline backends
-replay the same retransmission schedule.
+and the injector's plan-seeded stream), so every instrumentation preset
+replays the same retransmission schedule.
 
 Off by default: a world without a ``reliable_link`` has no channel at
 all — the network's fast paths (including the batched fan-outs) stay
@@ -189,7 +189,6 @@ class ReliableChannel:
             priority=2,
             label="rto-ack",
             args=(transfer,),
-            transient=True,
         )
 
     # ------------------------------------------------------------------ #
@@ -209,7 +208,6 @@ class ReliableChannel:
             priority=2,
             label="rto-check",
             args=(transfer, retries_done),
-            transient=True,
         )
 
     def _check(self, transfer: _Transfer, retries_done: int) -> None:

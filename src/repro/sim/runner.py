@@ -72,10 +72,7 @@ class World:
         )
         self.instrumentation.mark_attached()
         self.accountant = self.instrumentation.accountant
-        self.sim = Simulator(
-            recycle_events=self.instrumentation.recycle_events,
-            timeline=self.instrumentation.timeline,
-        )
+        self.sim = Simulator()
         self.registry = self._build_registry(n)
         #: Protocol label for invariant-violation context (chaos sets it).
         self.protocol_name = protocol_name
@@ -413,10 +410,6 @@ class World:
             messages_sent=self.network.messages_sent,
             final_time=self.sim.now,
             events_processed=self.sim.events_processed,
-            events_recycled=self.sim.events_recycled,
-            bucket_appends=self.sim.bucket_appends,
-            heap_pushes_avoided=self.sim.heap_pushes_avoided,
-            timeline=self.sim.timeline,
             deliveries_batched=self.network.deliveries_batched,
             delivery_runs_batched=self.network.delivery_runs_batched,
             quorum_checks=self.instrumentation.quorum_checks,
@@ -452,15 +445,6 @@ class RunResult:
     messages_sent: int = 0
     final_time: float = 0.0
     events_processed: int = 0
-    #: Arena-mode (perf preset) delivery cells reused; 0 under ``full``.
-    events_recycled: int = 0
-    #: Calendar-timeline counters: events appended to time buckets, and
-    #: pushes that skipped a heap sift because their instant's bucket was
-    #: already live.  Both 0 when the run used the ``"heap"`` backend.
-    bucket_appends: int = 0
-    heap_pushes_avoided: int = 0
-    #: Event-queue backend the run used (``"bucket"`` / ``"heap"``).
-    timeline: str = "bucket"
     #: Copies delivered through batched ``_deliver_many`` run events and
     #: the number of such events; both 0 whenever the per-copy delivery
     #: path was forced (accountant attached, fault injector present, or

@@ -11,38 +11,13 @@ from typing import Callable
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
-from repro.sim.timeline import BucketTimeline
 
 
 class Simulator:
-    """Deterministic discrete-event simulation kernel.
+    """Deterministic discrete-event simulation kernel."""
 
-    ``recycle_events=True`` turns on the event queue's arena mode:
-    transient events (message deliveries) have their cells recycled after
-    firing.  The world enables it for the ``perf`` instrumentation preset
-    only, so under ``full`` instrumentation event identity semantics are
-    untouched.
-
-    ``timeline`` selects the queue backend: ``"bucket"`` (the default)
-    is the calendar timeline of :mod:`repro.sim.timeline` — O(1) FIFO
-    appends per quantized instant; ``"heap"`` is the classic binary heap.
-    Both replay byte-identical schedules for the same pushes; the heap
-    stays available as the reference semantics for parity tests.
-    """
-
-    def __init__(
-        self, *, recycle_events: bool = False, timeline: str = "bucket"
-    ) -> None:
-        if timeline == "bucket":
-            self._queue: EventQueue = BucketTimeline(recycle=recycle_events)
-        elif timeline == "heap":
-            self._queue = EventQueue(recycle=recycle_events)
-        else:
-            raise SimulationError(
-                f"unknown timeline backend {timeline!r}; "
-                "expected 'bucket' or 'heap'"
-            )
-        self.timeline = timeline
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -57,8 +32,8 @@ class Simulator:
         """Logical events processed.
 
         Counts one per fired event, plus the extra logical deliveries a
-        batched fan-out run folds into a single transient event (the
-        network reports those via :meth:`note_logical_events`) — so the
+        batched fan-out run folds into a single event (the network
+        reports those via :meth:`note_logical_events`) — so the
         counter is invariant between the batched and per-copy delivery
         paths, and parity gates can keep comparing it across modes.
         """
@@ -72,22 +47,6 @@ class Simulator:
         """
         self._events_processed += extra
 
-    @property
-    def events_recycled(self) -> int:
-        """Transient event cells reused from the arena freelist."""
-        return self._queue.events_recycled
-
-    @property
-    def bucket_appends(self) -> int:
-        """Events appended to calendar buckets (0 on the heap backend)."""
-        return self._queue.bucket_appends
-
-    @property
-    def heap_pushes_avoided(self) -> int:
-        """Pushes that skipped an O(log n) heap sift because their
-        instant's bucket already existed (0 on the heap backend)."""
-        return self._queue.heap_pushes_avoided
-
     def schedule_at(
         self,
         time: float,
@@ -97,20 +56,15 @@ class Simulator:
         order_key: bytes = b"",
         label: str = "",
         args: tuple = (),
-        transient: bool = False,
     ) -> Event:
-        """Schedule ``action(*args)`` at absolute virtual time ``time``.
-
-        ``transient=True`` declares that the caller keeps no handle to the
-        returned event (so its cell may be recycled after it fires).
-        """
+        """Schedule ``action(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self._now}"
             )
         return self._queue.push(
             time, action, priority=priority, order_key=order_key,
-            label=label, args=args, transient=transient,
+            label=label, args=args,
         )
 
     def schedule_batch(
@@ -122,14 +76,12 @@ class Simulator:
         priority: int = 0,
         order_key: bytes = b"",
         label: str = "",
-        transient: bool = False,
     ) -> int:
         """Schedule ``action(*args)`` at ``time`` for every tuple in
-        ``args_seq`` in one queue call (one bucket lookup on the calendar
-        backend).  Equivalent to a loop of :meth:`schedule_at` — same
-        sequence numbers, same firing order — but returns no handles, so
-        it is for fire-and-forget work (message fan-outs); returns the
-        number of events scheduled.
+        ``args_seq`` in one queue call.  Equivalent to a loop of
+        :meth:`schedule_at` — same sequence numbers, same firing order —
+        but returns no handles, so it is for fire-and-forget work
+        (message fan-outs); returns the number of events scheduled.
         """
         if time < self._now:
             raise SimulationError(
@@ -137,7 +89,7 @@ class Simulator:
             )
         return self._queue.push_batch(
             time, action, args_seq, priority=priority, order_key=order_key,
-            label=label, transient=transient,
+            label=label,
         )
 
     def schedule_after(
@@ -162,10 +114,15 @@ class Simulator:
 
         Stops when the queue drains, when virtual time would exceed
         ``until``, or after ``max_events`` events.  Returns the final
-        virtual time.
+        virtual time.  An ``until`` before ``now`` is rejected: stopping
+        there would move the clock backwards.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} before now={self._now}"
+            )
         self._running = True
         processed = 0
         try:
@@ -174,7 +131,6 @@ class Simulator:
                 # pop directly instead of peeking then popping (one heap
                 # probe per event instead of two).
                 pop = self._queue.pop
-                release = self._queue.release
                 while True:
                     event = pop()
                     if event is None:
@@ -186,8 +142,6 @@ class Simulator:
                     else:
                         event.action()
                     self._events_processed += 1
-                    if event.transient:
-                        release(event)
                 return self._now
             while True:
                 next_time = self._queue.peek_time()
@@ -208,8 +162,6 @@ class Simulator:
                     event.action()
                 processed += 1
                 self._events_processed += 1
-                if event.transient:
-                    self._queue.release(event)
         finally:
             self._running = False
         return self._now
@@ -219,7 +171,7 @@ class Simulator:
 
         The sharded worker stamps a cross-shard delivery's instant with
         this before injecting the copies directly (bypassing the
-        timeline): ``run(until=...)`` stops short of the horizon when
+        event queue): ``run(until=...)`` stops short of the horizon when
         the local queue drains first, but the handlers invoked by the
         delivery read ``now`` to price their own sends.
         """
@@ -245,7 +197,6 @@ class Simulator:
         try:
             peek = self._queue.peek_time
             pop = self._queue.pop
-            release = self._queue.release
             while True:
                 next_time = peek()
                 if next_time is None or next_time >= horizon:
@@ -259,8 +210,6 @@ class Simulator:
                 else:
                     event.action()
                 self._events_processed += 1
-                if event.transient:
-                    release(event)
         finally:
             self._running = False
         return self._now
@@ -269,8 +218,8 @@ class Simulator:
         """Time of the earliest queued event, or ``None`` when empty.
 
         The sharded coordinator's barrier probe: each worker reports its
-        local timeline's head so the coordinator can pick the global next
-        instant.
+        local event queue's head so the coordinator can pick the global
+        next instant.
         """
         return self._queue.peek_time()
 

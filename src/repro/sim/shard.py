@@ -2,7 +2,7 @@
 
 One :class:`~repro.sim.runner.World` built with ``shards=k`` is executed
 by ``k`` worker processes, each owning a contiguous party range
-``[lo, hi)`` and its own local simulator/timeline.  This module is what
+``[lo, hi)`` and its own local simulator.  This module is what
 runs *inside* a worker:
 
 * :class:`ShardNetwork` — the range-partitioned transport.  Local
@@ -403,7 +403,7 @@ def _shard_loop(conn, spec: dict) -> None:
       the matching ``array('d')`` of delivery instants — the integer-ref
       hot path crosses as machine words, not per-record tuples),
       ``fresh`` is the issued-signature group dict, and ``next_time``
-      is the earlier of the local timeline's head and the oldest
+      is the earlier of the local event queue's head and the oldest
       not-yet-delivered inbound record; finally ``("done", summary)``.
     * coordinator -> worker: ``("step", T, window_end, inbound, issued)``
       — merge ``issued``, queue the inbound records at their wire
@@ -415,7 +415,7 @@ def _shard_loop(conn, spec: dict) -> None:
       with no work inside the window are skipped entirely (barrier
       coalescing), so a quiet shard costs no round-trip.
 
-    Inbound records bypass the local timeline: they are kept in a plain
+    Inbound records bypass the local event queue: they are kept in a plain
     ``(time, digest, seq)``-ordered heap and merged with local events by
     the window loop — one ``run(until=...)`` call per inbound instant
     instead of a full schedule/pop cycle per copy, which is where the
@@ -441,8 +441,6 @@ def _shard_loop(conn, spec: dict) -> None:
             rounds=False,
             transcripts=False,
             envelopes=False,
-            recycle_events=parent["recycle_events"],
-            timeline=parent["timeline"],
             batch_deliveries=parent["batch_deliveries"],
         ),
         protocol_name=spec["protocol_name"],
@@ -471,7 +469,7 @@ def _shard_loop(conn, spec: dict) -> None:
     until: float | None = spec["until"]
     # Inbound records not yet delivered, ordered by (delivery instant,
     # payload digest, arrival seq): a flat heap, merged with the local
-    # timeline by the window loop below.
+    # event queue by the window loop below.
     inqueue: list[tuple] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -498,9 +496,6 @@ def _shard_loop(conn, spec: dict) -> None:
                     "messages_sent": net.messages_sent,
                     "final_time": sim.now,
                     "events_processed": sim.events_processed,
-                    "events_recycled": sim.events_recycled,
-                    "bucket_appends": sim.bucket_appends,
-                    "heap_pushes_avoided": sim.heap_pushes_avoided,
                     "deliveries_batched": net.deliveries_batched,
                     "delivery_runs_batched": net.delivery_runs_batched,
                     "quorum_checks": instrumentation.quorum_checks,

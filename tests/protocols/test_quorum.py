@@ -3,9 +3,7 @@
 Covers the tracker's threshold boundaries, duplicate-signer rejection,
 equivocation detection, lazy bucket materialization, the world-shared
 quorum-payload memo — and the refactor's headline invariant: same-seed
-BRB / VBB outcomes are identical in every instrumentation preset (the
-``perf`` preset additionally runs the event arena, which must change
-allocation only, never outcomes).
+BRB / VBB outcomes are identical in every instrumentation preset.
 """
 from __future__ import annotations
 
@@ -264,7 +262,7 @@ def _outcome(cls, n, f, kwargs, mode, seed):
 
 
 class TestInstrumentationInvariance:
-    """Mode changes cost, never semantics — now including the arena."""
+    """Mode changes cost, never semantics."""
 
     @pytest.mark.parametrize("label,cls,sizes,kwargs", OUTCOME_CONFIGS)
     @pytest.mark.parametrize("seed", [1, 7, 42])
@@ -291,10 +289,6 @@ class TestInstrumentationInvariance:
         }
         checks = {r.quorum_checks for r in results.values()}
         assert len(checks) == 1 and checks.pop() > 0
-        # Arena accounting is a perf-only effect.
-        assert results["full"].events_recycled == 0
-        assert results["rounds"].events_recycled == 0
-        assert results["perf"].events_recycled > 0
 
 
 class TestBatchScalarParity:

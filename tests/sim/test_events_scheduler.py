@@ -1,4 +1,6 @@
 """Tests for the event queue and simulation kernel."""
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -113,6 +115,34 @@ class TestEventQueue:
             event.action()
         assert fired == [i for i in range(300) if i % 3 == 0]
 
+    def test_batch_equals_push_loop(self):
+        batched = EventQueue()
+        looped = EventQueue()
+        batched.push(1.0, _noop, order_key=b"x")
+        looped.push(1.0, _noop, order_key=b"x")
+        assert batched.push_batch(
+            1.0, _noop, [(r,) for r in range(5)], order_key=b"m",
+        ) == 5
+        for r in range(5):
+            looped.push(1.0, _noop, order_key=b"m", args=(r,))
+        out = []
+        for queue in (batched, looped):
+            seen = []
+            while (event := queue.pop()) is not None:
+                seen.append((event.time, event.order_key, event.seq, event.args))
+            out.append(seen)
+        assert out[0] == out[1]
+        # Key b"m" sorts before b"x": the batch pops first, in seq order.
+        assert [seq for _, _, seq, _ in out[0]] == [1, 2, 3, 4, 5, 0]
+
+    @pytest.mark.parametrize("seed", [*range(8), *range(100, 104)])
+    def test_randomized_scripts_pop_in_key_order(self, seed):
+        """Seeded push/batch/cancel/pop/peek scripts against a sorted-list
+        model: every pop is the smallest live ``(time, priority,
+        order_key, seq)``, and ``len``/``peek_time`` track the model."""
+        script = _random_script(seed)
+        assert _replay_queue(script) == _replay_model(script)
+
 
 class TestSimulator:
     def test_time_advances_monotonically(self):
@@ -159,6 +189,22 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
 
+    def test_run_until_before_now_rejected(self):
+        """Stopping at a horizon behind ``now`` would move the clock
+        backwards and let a later push land before fired events."""
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.run(max_events=1)
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError):
+            sim.run(until=0.5)
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(0.7, lambda: None)
+        assert sim.run(until=1.0) == 1.0  # a horizon at ``now`` is fine
+        assert sim.pending_events() == 1
+
     def test_max_events(self):
         sim = Simulator()
         fired = []
@@ -181,3 +227,177 @@ class TestSimulator:
         assert sim.pending_events() == 2
         sim.run(until=1.5)
         assert sim.pending_events() == 1
+
+    def test_event_args_passed_positionally(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda a, b: seen.append((a, b)), args=(1, 2))
+        sim.schedule_at(2.0, lambda: seen.append("plain"))
+        sim.run()
+        assert seen == [(1, 2), "plain"]
+
+    def test_same_instant_push_during_drain_fires_in_key_order(self):
+        """Self-delivery pattern: a push at ``now`` made while that
+        instant drains joins the instant in ``(priority, order_key,
+        seq)`` order, not behind it."""
+        sim = Simulator()
+        log = []
+
+        def primary(tag: int) -> None:
+            log.append(("p", tag))
+            sim.schedule_at(
+                sim.now, log.append, order_key=bytes([9 - tag]),
+                args=(("keyed", tag),),
+            )
+            sim.schedule_at(sim.now, log.append, args=(("echo", tag),))
+
+        sim.schedule_at(1.0, log.append, priority=1, args=(("late", 0),))
+        for tag in range(5):
+            sim.schedule_at(1.0, primary, order_key=bytes([tag]), args=(tag,))
+        sim.run()
+        # The empty key sorts before every primary's, so each echo fires
+        # before the next primary; the keyed pushes (keys 9..5) follow
+        # every primary in key order; priority 1 waits for all of it.
+        assert log == (
+            [entry for t in range(5) for entry in (("p", t), ("echo", t))]
+            + [("keyed", t) for t in (4, 3, 2, 1, 0)]
+            + [("late", 0)]
+        )
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize(
+        "until,max_events", [(None, None), (1.25, None), (None, 37)]
+    )
+    def test_cascade_replays_identically(self, until, max_events):
+        first = _cascade(until=until, max_events=max_events)
+        assert first == _cascade(until=until, max_events=max_events)
+        log, final, pending, processed = first
+        if until is not None:
+            assert final == until
+            assert max(t for t, _ in log) <= until
+            assert pending > 0
+        if max_events is not None:
+            assert processed == len(log) == max_events
+            assert pending > 0
+        if until is None and max_events is None:
+            assert pending == 0 and processed == len(log) > 100
+
+
+def _noop(*args) -> None:
+    pass
+
+
+#: A small time grid forces heavy tie-breaking on time.
+_TIMES = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0]
+_KEYS = [b"", b"a", b"b", b"zz"]
+
+
+def _random_script(seed: int) -> list[tuple]:
+    rng = random.Random(seed)
+    script: list[tuple] = []
+    pushes = 0
+    for _ in range(400):
+        roll = rng.random()
+        time, priority, key = (
+            rng.choice(_TIMES), rng.randrange(2), rng.choice(_KEYS)
+        )
+        if roll < 0.45:
+            script.append(("push", time, priority, key))
+            pushes += 1
+        elif roll < 0.60:
+            script.append(("batch", time, priority, key, rng.randrange(1, 6)))
+        elif roll < 0.75 and pushes:
+            script.append(("cancel", rng.randrange(pushes)))
+        elif roll < 0.9:
+            script.append(("pop",))
+        else:
+            script.append(("peek",))
+    return script
+
+
+def _replay_queue(script: list[tuple]) -> list[tuple]:
+    queue = EventQueue()
+    handles = []
+    log: list[tuple] = []
+    for op in script:
+        if op[0] == "push":
+            _, time, priority, key = op
+            handles.append(
+                queue.push(time, _noop, priority=priority, order_key=key)
+            )
+        elif op[0] == "batch":
+            _, time, priority, key, count = op
+            queue.push_batch(
+                time, _noop, [(i,) for i in range(count)],
+                priority=priority, order_key=key,
+            )
+        elif op[0] == "cancel":
+            handles[op[1]].cancel()
+        elif op[0] == "pop":
+            event = queue.pop()
+            log.append(
+                None if event is None else (
+                    event.time, event.priority, event.order_key, event.seq,
+                    event.args,
+                )
+            )
+        else:
+            log.append(("peek", queue.peek_time(), len(queue)))
+    while (event := queue.pop()) is not None:
+        log.append((event.time, event.priority, event.order_key, event.seq))
+    log.append(("end", len(queue), queue.peek_time()))
+    return log
+
+
+def _replay_model(script: list[tuple]) -> list[tuple]:
+    """The same script against a plain sorted list of live entries."""
+    live: list[tuple] = []
+    push_seqs = []
+    seq = 0
+    log: list[tuple] = []
+    for op in script:
+        if op[0] == "push":
+            _, time, priority, key = op
+            live.append((time, priority, key, seq, ()))
+            push_seqs.append(seq)
+            seq += 1
+        elif op[0] == "batch":
+            _, time, priority, key, count = op
+            for i in range(count):
+                live.append((time, priority, key, seq, (i,)))
+                seq += 1
+        elif op[0] == "cancel":
+            target = push_seqs[op[1]]
+            live = [entry for entry in live if entry[3] != target]
+        elif op[0] == "pop":
+            live.sort()
+            log.append(live.pop(0) if live else None)
+        else:
+            head = min(live)[0] if live else None
+            log.append(("peek", head, len(live)))
+    for entry in sorted(live):
+        log.append(entry[:4])
+    log.append(("end", 0, None))
+    return log
+
+
+def _cascade(*, until=None, max_events=None):
+    """A seeded fan-out cascade with same-instant and batched pushes."""
+    sim = Simulator()
+    rng = random.Random(7)
+    log = []
+    spawned = [0]
+
+    def fire(tag: int) -> None:
+        log.append((sim.now, tag))
+        if spawned[0] < 120:
+            spawned[0] += 3
+            fanout = [(tag + k + 1,) for k in range(3)]
+            sim.schedule_batch(
+                sim.now + rng.choice([0.0, 0.5, 1.0]), fire, fanout,
+                order_key=bytes([tag % 5]),
+            )
+
+    sim.schedule_at(0.0, fire, args=(0,))
+    final = sim.run(until=until, max_events=max_events)
+    return log, final, sim.pending_events(), sim.events_processed

@@ -3,18 +3,16 @@
 Covers the plan primitives and their validation, the injector's seams
 (send suppression, delivery discard, drop/duplicate/jitter/partition/
 churn routing), the determinism contracts (same plan + seed => identical
-schedules across presets and both timeline backends), the no-fault
-byte-parity guarantee, the GstDelay scalar-vs-batch parity under churned
-send times, and the event-arena double-release guard.
+schedules across presets), the no-fault byte-parity guarantee, and the
+GstDelay scalar-vs-batch parity under churned send times.
 """
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import FaultPlanError, SimulationError
+from repro.errors import FaultPlanError
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import GstDelay, UniformDelay
-from repro.sim.events import EventQueue
 from repro.sim.faults import (
     Crash,
     CrashLeader,
@@ -31,7 +29,6 @@ from repro.sim.faults import (
 from repro.sim.retransmit import ReliableLink
 from repro.sim.instrumentation import Instrumentation
 from repro.sim.runner import World
-from repro.sim.timeline import BucketTimeline
 from repro.types import INF
 
 
@@ -309,21 +306,18 @@ class TestFaultInjector:
 
 
 def _run_brb(
-    *, plan=None, monitors=None, preset="full", timeline="bucket", seed=3,
-    n=7, f=2,
+    *, plan=None, monitors=None, preset="full", seed=3, n=7, f=2,
 ):
     presets = {
         "full": dict(rounds=True, transcripts=True),
         "rounds": dict(rounds=True, transcripts=False),
-        "perf": dict(rounds=False, transcripts=False, recycle_events=True),
+        "perf": dict(rounds=False, transcripts=False),
     }
     world = World(
         n=n,
         f=f,
         delay_policy=UniformDelay(0.0, 1.0, seed=seed),
-        instrumentation=Instrumentation(
-            name=preset, timeline=timeline, **presets[preset]
-        ),
+        instrumentation=Instrumentation(name=preset, **presets[preset]),
         fault_plan=plan,
         monitors=monitors,
     )
@@ -346,16 +340,9 @@ class TestWorldIntegration:
         """The CI faults-off parity claim: an *attached but empty* plan
         exercises the injector code path yet changes nothing."""
         for preset in ("full", "rounds", "perf"):
-            for timeline in ("heap", "bucket"):
-                baseline = _snapshot(
-                    _run_brb(preset=preset, timeline=timeline)
-                )
-                empty = _snapshot(
-                    _run_brb(
-                        plan=FaultPlan(), preset=preset, timeline=timeline
-                    )
-                )
-                assert baseline == empty, (preset, timeline)
+            baseline = _snapshot(_run_brb(preset=preset))
+            empty = _snapshot(_run_brb(plan=FaultPlan(), preset=preset))
+            assert baseline == empty, preset
 
     def test_crash_within_budget_spares_live_parties(self):
         plan = FaultPlan(crashes=(Crash(5, 0.0), Crash(6, 0.0)))
@@ -394,10 +381,10 @@ class TestWorldIntegration:
         }
         assert outcomes["full"] == outcomes["rounds"] == outcomes["perf"]
 
-    def test_partition_heal_flush_deterministic_across_backends(self):
-        """Same seed => identical post-heal flush schedule on the heap
-        and the bucket calendar (the injector RNG is consumed in
-        scheduling order, which both backends share)."""
+    def test_partition_heal_flush_deterministic_across_presets(self):
+        """Same seed => identical post-heal flush schedule in every
+        preset (the injector RNG is consumed in scheduling order, which
+        every preset shares)."""
         plan = FaultPlan(
             partitions=(
                 Partition(
@@ -411,9 +398,8 @@ class TestWorldIntegration:
             seed=29,
         )
         snapshots = [
-            _snapshot(_run_brb(plan=plan, timeline=timeline, preset=preset))
+            _snapshot(_run_brb(plan=plan, preset=preset))
             for preset in ("full", "perf")
-            for timeline in ("heap", "bucket")
         ]
         assert len(set(snapshots)) == 1
         result = _run_brb(plan=plan)
@@ -457,32 +443,3 @@ class TestGstDelayBatchParity:
                 latest = max(send_time, 5.0) + 1.0
                 assert send_time + value <= latest + 1e-9
 
-
-class TestDoubleReleaseGuard:
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_release_twice_raises(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        cell = queue.push(1.0, lambda: None, transient=True)
-        assert queue.pop() is cell
-        queue.release(cell)
-        with pytest.raises(SimulationError):
-            queue.release(cell)
-        # The freelist holds exactly one copy: the next two transient
-        # pushes may reuse the cell once, never twice concurrently.
-        first = queue.push(2.0, lambda: None, transient=True)
-        second = queue.push(2.0, lambda: None, transient=True)
-        assert first is cell
-        assert second is not cell
-
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_discard_cancelled_idempotent_on_released_cells(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        cell = queue.push(1.0, lambda: None, transient=True)
-        assert queue.pop() is cell
-        queue.release(cell)
-        # A stale duplicate reference surfacing post-release must not
-        # corrupt the cancelled count or re-release the cell.
-        before = queue._cancelled
-        queue._discard_cancelled(cell)
-        assert queue._cancelled == before
-        assert len(queue._free) == 1

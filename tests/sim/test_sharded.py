@@ -4,10 +4,9 @@ Sharded execution (``World(shards=k)``) is a pure performance mode: the
 same configuration must yield the same ``RunResult`` outcomes — commits,
 commit times, final time — and the same merged schedule-invariant
 counters (``messages_sent``, ``events_processed``, ``quorum_checks``)
-for every shard count, preset and timeline backend.  Counters that
-describe *how* work was batched locally (``deliveries_batched``,
-``bucket_appends``, ``events_recycled``) legitimately differ: a shard
-only batches its local slice of a fan-out.
+for every shard count and preset.  Counters that describe *how* work
+was batched locally (``deliveries_batched``, ``delivery_runs_batched``)
+legitimately differ: a shard only batches its local slice of a fan-out.
 
 The suite also pins the forced-``shards=1`` rules — every feature whose
 semantics need global per-copy visibility must silently fall back — and
@@ -113,11 +112,9 @@ class TestShardBounds:
 
 class TestShardCountIndependence:
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("timeline", ["bucket", "heap"])
-    def test_perf_preset_parity(self, case, timeline):
+    def test_perf_preset_parity(self, case):
         instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            recycle_events=True, timeline=timeline,
+            name="perf", rounds=False, transcripts=False
         )
         baseline = _run(case, shards=1, instrumentation=instrumentation())
         assert baseline.shards == 1
@@ -129,7 +126,6 @@ class TestShardCountIndependence:
             )
             assert result.shards == shards
             assert result.shard_batches_exchanged > 0
-            assert result.timeline == timeline
             for field in INVARIANT_FIELDS:
                 assert getattr(result, field) == getattr(
                     baseline, field
@@ -139,7 +135,7 @@ class TestShardCountIndependence:
     def test_batch_deliveries_off_parity(self, case):
         instrumentation = lambda: Instrumentation(  # noqa: E731
             name="perf", rounds=False, transcripts=False,
-            recycle_events=True, batch_deliveries=False,
+            batch_deliveries=False,
         )
         baseline = _run(case, shards=1, instrumentation=instrumentation())
         result = _run(case, shards=2, instrumentation=instrumentation())
@@ -234,13 +230,11 @@ class TestCounterStreamParity:
     """
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("timeline", ["bucket", "heap"])
     @pytest.mark.parametrize("with_plan", [False, True])
-    def test_counter_delay_parity(self, case, timeline, with_plan):
+    def test_counter_delay_parity(self, case, with_plan):
         _, n, _, _ = CASES[case]
         instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            recycle_events=True, timeline=timeline,
+            name="perf", rounds=False, transcripts=False
         )
         delay = lambda: UniformDelay(  # noqa: E731
             0.05, 1.0, seed=17, stream="counter"
@@ -264,7 +258,6 @@ class TestCounterStreamParity:
             )
             assert result.shards == shards
             assert result.shard_batches_exchanged > 0
-            assert result.timeline == timeline
             for field in fields:
                 assert getattr(result, field) == getattr(
                     baseline, field
