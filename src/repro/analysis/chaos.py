@@ -553,23 +553,12 @@ def run_chaos_plan(
         "plan_size": len(plan),
         "deadline": deadline,
         "violation": violation,
-        "faults_injected": result.faults_injected,
-        "messages_dropped": result.messages_dropped,
-        "messages_duplicated": result.messages_duplicated,
-        "messages_held": result.messages_held,
-        "partition_windows": result.partition_windows,
-        "messages_sent": result.messages_sent,
         "commits": len(result.commits),
         "commit_views": commit_views,
         "max_commit_view": max(commit_views) if commit_views else None,
-        "retransmissions": result.retransmissions,
-        "acks_sent": result.acks_sent,
-        "retries_exhausted": result.retries_exhausted,
         "shards": result.shards,
-        "shard_batches_exchanged": result.shard_batches_exchanged,
-        "shard_bytes_sent": result.shard_bytes_sent,
-        "shard_barrier_rounds": result.shard_barrier_rounds,
         "shard_fallback_reason": result.shard_fallback_reason,
+        **result.counters(),
     }
 
 

@@ -256,9 +256,6 @@ def measure_one(
         # forces single-process execution reports shards=1 here even if
         # the grid asked for more (and says why in the fallback reason).
         "shards": meas.result.shards,
-        "shard_batches_exchanged": meas.result.shard_batches_exchanged,
-        "shard_bytes_sent": meas.result.shard_bytes_sent,
-        "shard_barrier_rounds": meas.result.shard_barrier_rounds,
         "shard_fallback_reason": meas.result.shard_fallback_reason,
         # Outcome fields: the randomized and faulted rows assert their
         # own health (every live party commits one distinct value).
@@ -266,7 +263,6 @@ def measure_one(
         "commit_values": len(set(meas.result.commits.values())),
         "instrumentation": instrumentation,
         "wall_seconds": round(wall, 6),
-        "events_processed": events,
         "events_per_second": round(events / wall, 1),
         "messages": meas.messages,
         "round_latency": meas.round_latency,
@@ -274,24 +270,12 @@ def measure_one(
         "digest_cache_hits": stats["cache_hits"],
         "interned_hits": stats["interned_hits"],
         "plans_compiled": stats["plans_compiled"],
-        "quorum_checks": meas.result.quorum_checks,
-        # Batched-delivery and vectorized-vote counters: copies folded
-        # into run events (and the run-event count), and votes absorbed
-        # through staged add_batch calls.  Per-copy modes report 0s.
-        "deliveries_batched": meas.result.deliveries_batched,
-        "delivery_runs_batched": meas.result.delivery_runs_batched,
-        "votes_batched": meas.result.votes_batched,
-        # Fault-engine counters: nonzero exactly on the fault="chaos"
-        # rows (the pinned plan's injections), 0s everywhere else.
-        "faults_injected": meas.result.faults_injected,
-        "messages_dropped": meas.result.messages_dropped,
-        "messages_duplicated": meas.result.messages_duplicated,
-        # Reliable-channel counters: all 0 on tracked runs (the channel
-        # is opt-in and benches run without it); a nonzero here means a
-        # bench configuration grew a link policy.
-        "retransmissions": meas.result.retransmissions,
-        "acks_sent": meas.result.acks_sent,
-        "retries_exhausted": meas.result.retries_exhausted,
+        # Every run counter (see ``repro.sim.runner.COUNTERS``): batched
+        # delivery and vote counts are 0 on per-copy modes, fault-engine
+        # counts nonzero exactly on the fault="chaos" rows, and
+        # reliable-channel counts 0 on every tracked row (a nonzero one
+        # means a bench configuration grew a link policy).
+        **meas.result.counters(),
     }
     if profile:
         # One extra rep under cProfile: the top-20 cumulative entries are

@@ -51,7 +51,7 @@ from __future__ import annotations
 import multiprocessing
 
 from repro.errors import SimulationError
-from repro.sim.runner import RunResult, World
+from repro.sim.runner import COUNTERS, PLAN, SUM, RunResult, World
 
 __all__ = ["shard_bounds", "run_sharded"]
 
@@ -99,7 +99,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
     shards = world.shards
     bounds = shard_bounds(world.n, shards)
     lookahead = max(0.0, world._delay_policy.min_delay() - _LOOKAHEAD_GUARD)
-    parent_instr = world.instrumentation
     ctx = multiprocessing.get_context("fork")
     conns = []
     procs = []
@@ -118,10 +117,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "party_factory": world._party_factory,
                 "fault_plan": world.fault_plan,
                 "until": until,
-                "instrumentation": {
-                    "name": parent_instr.name,
-                    "batch_deliveries": parent_instr.batch_deliveries,
-                },
+                "instrumentation": world.instrumentation.name,
             }
             from repro.sim.shard import _send_msg, _shard_main
 
@@ -268,6 +264,17 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         if horizon_hit
         else max(s["final_time"] for s in summaries)
     )
+    counters = {
+        "shard_batches_exchanged": batches,
+        "shard_bytes_sent": bytes_sent,
+        "shard_barrier_rounds": barrier_rounds,
+    }
+    for name, merge in COUNTERS.items():
+        values = [s["counters"].get(name, 0) for s in summaries]
+        if merge == SUM:
+            counters[name] = sum(values)
+        elif merge == PLAN:
+            counters[name] = values[0]
     return RunResult(
         n=world.n,
         f=world.f,
@@ -276,34 +283,9 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         commit_global_times=commit_times,
         commit_rounds={},
         start_offsets=list(world.start_offsets),
-        messages_sent=sum(s["messages_sent"] for s in summaries),
         final_time=final_time,
-        events_processed=sum(s["events_processed"] for s in summaries),
-        deliveries_batched=sum(
-            s["deliveries_batched"] for s in summaries
-        ),
-        delivery_runs_batched=sum(
-            s["delivery_runs_batched"] for s in summaries
-        ),
-        quorum_checks=sum(s["quorum_checks"] for s in summaries),
-        votes_batched=sum(s["votes_batched"] for s in summaries),
-        equivocations_detected=sum(
-            s["equivocations_detected"] for s in summaries
-        ),
-        instrumentation=parent_instr.name,
+        instrumentation=world.instrumentation.name,
         rounds_recorded=False,
-        faults_injected=sum(s["faults_injected"] for s in summaries),
-        messages_dropped=sum(s["messages_dropped"] for s in summaries),
-        messages_duplicated=sum(
-            s["messages_duplicated"] for s in summaries
-        ),
-        messages_held=sum(s["messages_held"] for s in summaries),
-        partition_windows=(
-            world.fault_injector.partition_windows
-            if world.fault_injector is not None else 0
-        ),
         shards=shards,
-        shard_batches_exchanged=batches,
-        shard_bytes_sent=bytes_sent,
-        shard_barrier_rounds=barrier_rounds,
+        **counters,
     )

@@ -70,7 +70,7 @@ Primitives
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.errors import FaultPlanError
@@ -766,7 +766,7 @@ class FaultInjector:
             )
         self.plan = plan
         self.n = n
-        self.counters = FaultCounters()
+        self._counts = FaultCounters()
         if plan.stream == "counter":
             self._rng = None
             self._counter = CounterStream(plan.seed, salt=_FAULT_SALT)
@@ -782,28 +782,15 @@ class FaultInjector:
             window.add(crash.at, crash.recover)
 
     # ------------------------------------------------------------------ #
-    # counters (read by World.result)
+    # counters (read by World.counters)
     # ------------------------------------------------------------------ #
 
-    @property
-    def faults_injected(self) -> int:
-        return self.counters.faults_injected
-
-    @property
-    def messages_dropped(self) -> int:
-        return self.counters.messages_dropped
-
-    @property
-    def messages_duplicated(self) -> int:
-        return self.counters.messages_duplicated
-
-    @property
-    def messages_held(self) -> int:
-        return self.counters.messages_held
-
-    @property
-    def partition_windows(self) -> int:
-        return len(self.plan.partitions)
+    def counters(self) -> dict[str, int]:
+        """Injection tallies, plus the plan's partition-window count."""
+        return {
+            **asdict(self._counts),
+            "partition_windows": len(self.plan.partitions),
+        }
 
     # ------------------------------------------------------------------ #
     # crash seam
@@ -816,15 +803,15 @@ class FaultInjector:
     def block_send(self, sender: PartyId, t: float) -> bool:
         """Suppress every copy of a send from a crashed sender."""
         if self.party_down(sender, t):
-            self.counters.faults_injected += 1
+            self._counts.faults_injected += 1
             return True
         return False
 
     def block_delivery(self, recipient: PartyId, t: float) -> bool:
         """Discard a copy arriving while its recipient is down."""
         if self.party_down(recipient, t):
-            self.counters.faults_injected += 1
-            self.counters.messages_dropped += 1
+            self._counts.faults_injected += 1
+            self._counts.messages_dropped += 1
             return True
         return False
 
@@ -852,7 +839,7 @@ class FaultInjector:
         depends only on the copy's position in its link's sequence —
         never on how copies from other links interleave.
         """
-        counters = self.counters
+        counters = self._counts
         rng = (
             self._counter.draws(sender, recipient)
             if self._counter is not None else self._rng

@@ -52,12 +52,11 @@ class Instrumentation:
     Commit tracking (:meth:`note_commit`) is always on: it is O(commits),
     not O(messages), and the harness's agreement checks depend on it.
 
-    The bundle is also the home of two cheap always-on counters: every
-    :class:`~repro.protocols.quorum.QuorumTracker` a party creates
+    The bundle is also the home of the cheap always-on quorum counters:
+    every :class:`~repro.protocols.quorum.QuorumTracker` a party creates
     registers here (:meth:`register_quorum_tracker`), and
-    :attr:`quorum_checks` / :attr:`equivocations_detected` aggregate the
-    trackers' tallies at result time — the hot path only increments a
-    slot on its own tracker.
+    :meth:`counters` aggregates the trackers' tallies at result time —
+    the hot path only increments a slot on its own tracker.
     """
 
     def __init__(
@@ -67,18 +66,8 @@ class Instrumentation:
         rounds: bool = True,
         transcripts: bool = True,
         envelopes: bool = False,
-        batch_deliveries: bool = True,
     ):
         self.name = name
-        #: Allow the network to fold a multicast's equal-delay copies
-        #: into one ``_deliver_many`` run event.  On by default in every
-        #: preset — the network additionally requires that no per-copy
-        #: observer (accountant, envelope log) and no fault injector is
-        #: attached, so under ``full``/``rounds`` the per-copy path is
-        #: forced regardless.  ``False`` forces per-copy scheduling even
-        #: with observers off; the batched-delivery parity suite uses it
-        #: to pin byte-identical outcomes across both paths.
-        self.batch_deliveries = batch_deliveries
         self.accountant: RoundAccountant | None = (
             RoundAccountant() if rounds else None
         )
@@ -164,25 +153,24 @@ class Instrumentation:
         """Enroll a party's quorum tracker for counter aggregation."""
         self._quorum_trackers.append(tracker)
 
-    @property
-    def quorum_checks(self) -> int:
-        """Total tally updates across this execution's quorum trackers."""
-        return sum(t.checks for t in self._quorum_trackers)
+    def counters(self) -> dict[str, int]:
+        """Tracker tallies summed over this execution's quorum trackers.
 
-    @property
-    def votes_batched(self) -> int:
-        """Votes absorbed through the vectorized ``add_batch`` path."""
-        return sum(t.batched for t in self._quorum_trackers)
-
-    @property
-    def equivocations_detected(self) -> int:
-        """Equivocating signers observed, summed over all trackers.
-
-        Per-tracker detection is opt-in, so this counts only protocols
-        that asked for it; the same signer caught by k parties' trackers
-        counts k times (each party independently witnessed the proof).
+        ``quorum_checks`` counts tally updates and ``votes_batched`` the
+        votes absorbed through the vectorized ``add_batch`` path.
+        Per-tracker equivocation detection is opt-in, so
+        ``equivocations_detected`` counts only protocols that asked for
+        it; the same signer caught by k parties' trackers counts k times
+        (each party independently witnessed the proof).
         """
-        return sum(len(t.equivocators) for t in self._quorum_trackers)
+        trackers = self._quorum_trackers
+        return {
+            "quorum_checks": sum(t.checks for t in trackers),
+            "votes_batched": sum(t.batched for t in trackers),
+            "equivocations_detected": sum(
+                len(t.equivocators) for t in trackers
+            ),
+        }
 
     def mark_attached(self) -> None:
         """Claim this bundle for one execution (called by the world).

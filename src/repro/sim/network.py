@@ -27,7 +27,7 @@ the unfaulted path replays byte-identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
@@ -117,15 +117,6 @@ class Network:
         )
         self._envelopes = (
             instrumentation.envelopes if instrumentation is not None else None
-        )
-        # Run batching: a multicast's equal-delay copies become *one*
-        # event (``_deliver_many``).  Only legal when nothing observes or
-        # perturbs individual copies — the gate below also requires
-        # accountant/envelopes/injector to be absent; this flag is the
-        # instrumentation bundle's explicit opt-out so parity suites can
-        # force the per-copy path with observers off.
-        self._batch_runs = bool(
-            getattr(instrumentation, "batch_deliveries", True)
         )
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -224,8 +215,7 @@ class Network:
         order_key = None
         self.messages_sent += len(recipients)
         if (
-            self._batch_runs
-            and self._common_offset is not None
+            self._common_offset is not None
             and injector is None
             and self._reliable is None
             and self._accountant is None
@@ -686,29 +676,16 @@ class Network:
         return True
 
     # ------------------------------------------------------------------ #
-    # reliable-channel counters (read by World.result)
+    # counters (read by World.counters)
     # ------------------------------------------------------------------ #
 
-    @property
-    def retransmissions(self) -> int:
-        return (
-            self._reliable.counters.retransmissions
-            if self._reliable is not None
-            else 0
-        )
-
-    @property
-    def acks_sent(self) -> int:
-        return (
-            self._reliable.counters.acks_sent
-            if self._reliable is not None
-            else 0
-        )
-
-    @property
-    def retries_exhausted(self) -> int:
-        return (
-            self._reliable.counters.retries_exhausted
-            if self._reliable is not None
-            else 0
-        )
+    def counters(self) -> dict[str, int]:
+        """Transport tallies, plus the reliable channel's when attached."""
+        counters = {
+            "messages_sent": self.messages_sent,
+            "deliveries_batched": self.deliveries_batched,
+            "delivery_runs_batched": self.delivery_runs_batched,
+        }
+        if self._reliable is not None:
+            counters.update(asdict(self._reliable.counters))
+        return counters

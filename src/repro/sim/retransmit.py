@@ -31,7 +31,7 @@ replays the same retransmission schedule.
 
 Off by default: a world without a ``reliable_link`` has no channel at
 all — the network's fast paths (including the batched fan-outs) stay
-byte-identical, which CI pins next to the faults-off parity gate.
+byte-identical, which ``tests/sim/test_retransmit.py`` pins.
 """
 from __future__ import annotations
 

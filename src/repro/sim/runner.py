@@ -16,7 +16,7 @@ seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from repro.crypto.messages import ContentMemo, IdentityMemo, intern_key
@@ -366,22 +366,28 @@ class World:
         for monitor in self.instrumentation.monitors:
             monitor.finalize(self)
 
-    def run(
-        self, *, until: float | None = None, max_events: int | None = None
-    ) -> "RunResult":
+    def run(self, *, until: float | None = None) -> "RunResult":
         if self.shards > 1:
-            if max_events is not None:
-                raise ConfigurationError(
-                    "max_events requires the single-process path; "
-                    f"build the world with shards=1 (got shards="
-                    f"{self.shards})"
-                )
             from repro.sim.coordinator import run_sharded
 
             self._sharded_result = run_sharded(self, until=until)
             return self._sharded_result
-        self.sim.run(until=until, max_events=max_events)
+        self.sim.run(until=until)
         return self.result()
+
+    def counters(self) -> dict[str, int]:
+        """This world's run counters, keyed by :data:`COUNTERS` name.
+
+        Each owner contributes its own tallies; a counter whose owner is
+        absent (no fault plan, no reliable channel) is left out and
+        reads as its :class:`RunResult` default, 0.
+        """
+        counters = {"events_processed": self.sim.events_processed}
+        counters.update(self.network.counters())
+        counters.update(self.instrumentation.counters())
+        if self.fault_injector is not None:
+            counters.update(self.fault_injector.counters())
+        return counters
 
     def result(self) -> "RunResult":
         if self._sharded_result is not None:
@@ -394,7 +400,6 @@ class World:
                     commit_rounds[party.id] = self.accountant.round_of_step(
                         party.commit_step
                     )
-        injector = self.fault_injector
         return RunResult(
             n=self.n,
             f=self.f,
@@ -407,33 +412,35 @@ class World:
             },
             commit_rounds=commit_rounds,
             start_offsets=list(self.start_offsets),
-            messages_sent=self.network.messages_sent,
             final_time=self.sim.now,
-            events_processed=self.sim.events_processed,
-            deliveries_batched=self.network.deliveries_batched,
-            delivery_runs_batched=self.network.delivery_runs_batched,
-            quorum_checks=self.instrumentation.quorum_checks,
-            votes_batched=self.instrumentation.votes_batched,
-            equivocations_detected=self.instrumentation.equivocations_detected,
             instrumentation=self.instrumentation.name,
             rounds_recorded=self.accountant is not None,
-            faults_injected=injector.faults_injected if injector else 0,
-            messages_dropped=injector.messages_dropped if injector else 0,
-            messages_duplicated=(
-                injector.messages_duplicated if injector else 0
-            ),
-            messages_held=injector.messages_held if injector else 0,
-            partition_windows=injector.partition_windows if injector else 0,
-            retransmissions=self.network.retransmissions,
-            acks_sent=self.network.acks_sent,
-            retries_exhausted=self.network.retries_exhausted,
             shard_fallback_reason=self.shard_fallback_reason,
+            **self.counters(),
         )
+
+
+#: Merge rules of the run counters across shards: each shard tallies
+#: its own share and the shares add up (``SUM``); the value is a fact of
+#: the fault plan, which every shard holds whole (``PLAN``); or the
+#: coordinator meters it itself, 0 on a single-process run
+#: (``COORDINATOR``).
+SUM, PLAN, COORDINATOR = "sum", "plan", "coordinator"
+
+
+def _counter(merge: str) -> Any:
+    """A :class:`RunResult` run-counter field: 0 unless tallied."""
+    return field(default=0, metadata={"merge": merge})
 
 
 @dataclass
 class RunResult:
-    """Outcome of one execution, as seen by the harness."""
+    """Outcome of one execution, as seen by the harness.
+
+    Fields declared with ``_counter`` are the run counters
+    (:data:`COUNTERS`); their values come from the owners' ``counters()``
+    dicts (:meth:`World.counters`).
+    """
 
     n: int
     f: int
@@ -442,38 +449,38 @@ class RunResult:
     commit_global_times: dict[PartyId, float]
     commit_rounds: dict[PartyId, int]
     start_offsets: list[float] = field(default_factory=list)
-    messages_sent: int = 0
+    messages_sent: int = _counter(SUM)
     final_time: float = 0.0
-    events_processed: int = 0
+    events_processed: int = _counter(SUM)
     #: Copies delivered through batched ``_deliver_many`` run events and
     #: the number of such events; both 0 whenever the per-copy delivery
-    #: path was forced (accountant attached, fault injector present, or
-    #: ``batch_deliveries=False``).
-    deliveries_batched: int = 0
-    delivery_runs_batched: int = 0
+    #: path was forced (accountant, envelope log, fault injector or
+    #: reliable channel attached).
+    deliveries_batched: int = _counter(SUM)
+    delivery_runs_batched: int = _counter(SUM)
     #: Tally updates across every party's quorum trackers.
-    quorum_checks: int = 0
+    quorum_checks: int = _counter(SUM)
     #: Votes absorbed through the vectorized ``add_batch`` path.
-    votes_batched: int = 0
+    votes_batched: int = _counter(SUM)
     #: Equivocating signers witnessed by detection-enabled trackers.
-    equivocations_detected: int = 0
+    equivocations_detected: int = _counter(SUM)
     instrumentation: str = "full"
     rounds_recorded: bool = True
     #: Fault-engine counters; all 0 when the run carried no fault plan.
-    faults_injected: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_held: int = 0
-    partition_windows: int = 0
+    faults_injected: int = _counter(SUM)
+    messages_dropped: int = _counter(SUM)
+    messages_duplicated: int = _counter(SUM)
+    messages_held: int = _counter(SUM)
+    partition_windows: int = _counter(PLAN)
     #: Reliable-channel counters; all 0 without a ``reliable_link``.
-    retransmissions: int = 0
-    acks_sent: int = 0
-    retries_exhausted: int = 0
+    retransmissions: int = _counter(SUM)
+    acks_sent: int = _counter(SUM)
+    retries_exhausted: int = _counter(SUM)
     #: Worker processes the run executed across (1 = single-process) and
     #: the number of cross-shard message batches the coordinator routed
-    #: between them (0 whenever ``shards == 1``).
+    #: between them.
     shards: int = 1
-    shard_batches_exchanged: int = 0
+    shard_batches_exchanged: int = _counter(COORDINATOR)
     #: Which forced-``shards=1`` rule fired when sharding was requested
     #: but refused (``None`` = never requested, or granted in full).
     #: One of ``"rounds-accounting"``, ``"transcripts"``,
@@ -483,9 +490,13 @@ class RunResult:
     shard_fallback_reason: str | None = None
     #: Coordinator-pipe traffic: bytes framed across the barrier in both
     #: directions, and the number of barrier sub-step rounds the
-    #: lockstep advance ran (0 whenever ``shards == 1``).
-    shard_bytes_sent: int = 0
-    shard_barrier_rounds: int = 0
+    #: lockstep advance ran.
+    shard_bytes_sent: int = _counter(COORDINATOR)
+    shard_barrier_rounds: int = _counter(COORDINATOR)
+
+    def counters(self) -> dict[str, int]:
+        """Every run counter by name, in declaration order."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
     @property
     def honest_ids(self) -> list[PartyId]:
@@ -529,6 +540,16 @@ class RunResult:
         return max(self.commit_rounds.values())
 
 
+#: Every run counter with its merge rule, in declaration order.  Adding
+#: a counter means tallying it in its owner's ``counters()`` and
+#: declaring its ``_counter`` field on :class:`RunResult`.
+COUNTERS: dict[str, str] = {
+    f.name: f.metadata["merge"]
+    for f in fields(RunResult)
+    if "merge" in f.metadata
+}
+
+
 def run_broadcast(
     *,
     n: int,
@@ -539,7 +560,6 @@ def run_broadcast(
     behavior_factory: BehaviorFactory | None = None,
     start_offsets: list[float] | None = None,
     until: float | None = None,
-    max_events: int | None = None,
     instrumentation: str | Instrumentation | None = None,
     fault_plan: FaultPlan | None = None,
     reliable_link: Any = None,
@@ -562,7 +582,7 @@ def run_broadcast(
         shards=shards,
     )
     world.populate(party_factory, behavior_factory)
-    result = world.run(until=until, max_events=max_events)
+    result = world.run(until=until)
     if monitors:
         world.check_invariants()
     return result

@@ -427,7 +427,6 @@ def _shard_loop(conn, spec: dict) -> None:
     index: int = spec["index"]
     bounds: list[tuple[int, int]] = spec["bounds"]
     lo, hi = bounds[index]
-    parent = spec["instrumentation"]
     world = _ShardWorld(
         lo=lo,
         hi=hi,
@@ -437,11 +436,10 @@ def _shard_loop(conn, spec: dict) -> None:
         byzantine=spec["byzantine"],
         start_offsets=spec["start_offsets"],
         instrumentation=Instrumentation(
-            name=parent["name"],
+            name=spec["instrumentation"],
             rounds=False,
             transcripts=False,
             envelopes=False,
-            batch_deliveries=parent["batch_deliveries"],
         ),
         protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],
@@ -450,7 +448,6 @@ def _shard_loop(conn, spec: dict) -> None:
     sim = world.sim
     net: ShardNetwork = world.network
     registry: _ShardRegistry = world.registry
-    instrumentation = world.instrumentation
     injector = world.fault_injector
     # Inbound runs only need the recipient-side crash seam when a plan
     # is compiled in; without one the unchecked tight loop is identical
@@ -493,28 +490,8 @@ def _shard_loop(conn, spec: dict) -> None:
                         for p in honest
                         if p.has_committed
                     },
-                    "messages_sent": net.messages_sent,
                     "final_time": sim.now,
-                    "events_processed": sim.events_processed,
-                    "deliveries_batched": net.deliveries_batched,
-                    "delivery_runs_batched": net.delivery_runs_batched,
-                    "quorum_checks": instrumentation.quorum_checks,
-                    "votes_batched": instrumentation.votes_batched,
-                    "equivocations_detected": (
-                        instrumentation.equivocations_detected
-                    ),
-                    "faults_injected": (
-                        injector.faults_injected if injector else 0
-                    ),
-                    "messages_dropped": (
-                        injector.messages_dropped if injector else 0
-                    ),
-                    "messages_duplicated": (
-                        injector.messages_duplicated if injector else 0
-                    ),
-                    "messages_held": (
-                        injector.messages_held if injector else 0
-                    ),
+                    "counters": world.counters(),
                 },
             ))
             conn.close()

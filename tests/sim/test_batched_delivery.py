@@ -4,9 +4,10 @@ Run batching (one ``_deliver_many`` event per equal-delay fan-out run)
 and vote batching (one staged ``add_batch`` per uniform forwarded
 quorum) are pure performance transforms: the same seed must yield the
 same commits, message counts, logical event counts and tally counters
-with either path.  This suite pins that equivalence across presets and
-the explicit ``batch_deliveries`` opt-out, plus the counter
-relationships the benchmarks report.
+with either path.  This suite pins that equivalence across presets —
+``perf`` batches, while the accountant of ``rounds`` and ``full``
+forces the per-copy path — plus the counter relationships the
+benchmarks report.
 """
 import pytest
 
@@ -15,7 +16,6 @@ from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.instrumentation import Instrumentation
 from repro.sim.runner import run_broadcast
 
 CASES = {
@@ -26,19 +26,7 @@ CASES = {
 }
 
 
-def _instrumentation(preset, batch):
-    if preset == "full":
-        return Instrumentation(
-            name="full", rounds=True, transcripts=True,
-            batch_deliveries=batch,
-        )
-    return Instrumentation(
-        name="perf", rounds=False, transcripts=False,
-        batch_deliveries=batch,
-    )
-
-
-def _run(case, preset, batch, *, delay):
+def _run(case, preset, *, delay):
     cls, n, f, kwargs = CASES[case]
     if delay == "fixed":
         policy = FixedDelay(0.37)
@@ -49,7 +37,7 @@ def _run(case, preset, batch, *, delay):
         f=f,
         party_factory=cls.factory(broadcaster=0, input_value="v", **kwargs),
         delay_policy=policy,
-        instrumentation=_instrumentation(preset, batch),
+        instrumentation=preset,
     )
 
 
@@ -69,29 +57,32 @@ class TestBatchedDeliveryParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("delay", ["fixed", "uniform"])
     def test_same_seed_same_outcome_all_modes(self, case, delay):
-        base = None
-        for preset in ("full", "perf"):
-            for batch in (True, False):
-                outcome = _outcome(_run(case, preset, batch, delay=delay))
-                if base is None:
-                    base = outcome
-                else:
-                    assert outcome == base, (
-                        f"{case}/{delay}: {preset}/batch={batch} diverged"
-                    )
+        results = {
+            preset: _run(case, preset, delay=delay)
+            for preset in ("full", "rounds", "perf")
+        }
+        base = _outcome(results["perf"])
+        for preset in ("full", "rounds"):
+            assert _outcome(results[preset]) == base, (
+                f"{case}/{delay}: {preset} diverged from perf"
+            )
+            assert results[preset].deliveries_batched == 0, preset
+        if delay == "fixed":
+            # The comparison is batched against per-copy delivery.
+            assert results["perf"].deliveries_batched > 0
 
     def test_zero_delay_runs_stay_per_copy(self):
         # Same-instant deliveries keep per-copy scheduling (reaction
         # ordering at one instant is seq-sensitive), so a zero-delay
         # policy must never produce a batched run.
-        result = _run("brb_2round", "perf", True, delay="fixed")
+        result = _run("brb_2round", "perf", delay="fixed")
         assert result.deliveries_batched > 0  # sanity: 0.37 > 0 batches
         zero = run_broadcast(
             n=13,
             f=4,
             party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
             delay_policy=FixedDelay(0.0),
-            instrumentation=_instrumentation("perf", True),
+            instrumentation="perf",
         )
         assert zero.deliveries_batched == 0
         assert zero.delivery_runs_batched == 0
@@ -100,8 +91,8 @@ class TestBatchedDeliveryParity:
 
 class TestBatchedDeliveryCounters:
     def test_perf_counts_batched_runs_full_stays_per_copy(self):
-        perf = _run("brb_2round", "perf", True, delay="fixed")
-        full = _run("brb_2round", "full", True, delay="fixed")
+        perf = _run("brb_2round", "perf", delay="fixed")
+        full = _run("brb_2round", "full", delay="fixed")
         # perf: no per-copy observer, so fixed-delay fan-outs batch.
         assert perf.deliveries_batched > 0
         assert perf.delivery_runs_batched > 0
@@ -114,9 +105,9 @@ class TestBatchedDeliveryCounters:
     def test_votes_batched_counts_vectorized_absorbs(self):
         # Stragglers receive quorum forwards before terminating, so the
         # vectorized vote path activates under spread-out delays...
-        spread = _run("brb_2round", "perf", True, delay="uniform")
+        spread = _run("brb_2round", "perf", delay="uniform")
         assert spread.votes_batched > 0
         # ...and is instrumentation-invariant: the vote path is chosen
         # by message *content*, not by the delivery mode.
-        spread_full = _run("brb_2round", "full", True, delay="uniform")
+        spread_full = _run("brb_2round", "full", delay="uniform")
         assert spread_full.votes_batched == spread.votes_batched

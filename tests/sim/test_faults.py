@@ -147,8 +147,8 @@ class TestViewChangePrimitives:
         assert injector.route(2, 1, 0.0, 1.0) == [1.0]  # other links free
         # A natural delivery past the release is untouched.
         assert injector.route(0, 1, 3.9, 4.9) == [4.9]
-        assert injector.messages_held == 1
-        assert injector.messages_dropped == 0
+        assert injector.counters()["messages_held"] == 1
+        assert injector.counters()["messages_dropped"] == 0
 
     def test_quiet_time_grows_a_retransmission_tail(self):
         link = ReliableLink(rto=1.0, backoff=2.0, max_retries=2)  # tail 3
@@ -247,8 +247,8 @@ class TestFaultInjector:
         assert injector.block_delivery(1, 1.5)
         assert not injector.block_delivery(1, 2.0)
         assert not injector.block_send(2, 1.5)  # other parties unaffected
-        assert injector.faults_injected == 2
-        assert injector.messages_dropped == 1
+        assert injector.counters()["faults_injected"] == 2
+        assert injector.counters()["messages_dropped"] == 1
 
     def test_certain_drop_loses_the_copy(self):
         injector = FaultInjector(
@@ -256,7 +256,7 @@ class TestFaultInjector:
         )
         assert injector.route(0, 1, 0.0, 1.0) == []
         assert injector.route(0, 2, 0.0, 1.0) == [1.0]
-        assert injector.messages_dropped == 1
+        assert injector.counters()["messages_dropped"] == 1
 
     def test_duplicate_adds_echo(self):
         injector = FaultInjector(
@@ -264,7 +264,7 @@ class TestFaultInjector:
             n=4,
         )
         assert injector.route(0, 1, 0.0, 1.0) == [1.0, 1.5]
-        assert injector.messages_duplicated == 1
+        assert injector.counters()["messages_duplicated"] == 1
 
     def test_partition_holds_until_heal(self):
         injector = FaultInjector(
@@ -278,7 +278,8 @@ class TestFaultInjector:
         )
         assert injector.route(0, 2, 0.0, 1.0) == [4.0]  # held to the heal
         assert injector.route(0, 1, 0.0, 1.0) == [1.0]  # same group: untouched
-        assert injector.messages_held == 1
+        assert injector.counters()["messages_held"] == 1
+        assert injector.counters()["partition_windows"] == 1
 
     def test_routing_is_deterministic_per_seed(self):
         plan = FaultPlan(
@@ -337,12 +338,13 @@ def _snapshot(result):
 
 class TestWorldIntegration:
     def test_empty_plan_matches_no_plan_everywhere(self):
-        """The CI faults-off parity claim: an *attached but empty* plan
-        exercises the injector code path yet changes nothing."""
+        """Faults-off parity: an *attached but empty* plan exercises the
+        injector code path yet changes nothing, in every preset."""
         for preset in ("full", "rounds", "perf"):
             baseline = _snapshot(_run_brb(preset=preset))
-            empty = _snapshot(_run_brb(plan=FaultPlan(), preset=preset))
-            assert baseline == empty, preset
+            empty = _run_brb(plan=FaultPlan(), preset=preset)
+            assert baseline == _snapshot(empty), preset
+            assert empty.faults_injected == 0, preset
 
     def test_crash_within_budget_spares_live_parties(self):
         plan = FaultPlan(crashes=(Crash(5, 0.0), Crash(6, 0.0)))

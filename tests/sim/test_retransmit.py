@@ -200,21 +200,23 @@ class TestNetworkIntegration:
         assert result.retransmissions > 0
 
     def test_off_by_default_stays_byte_identical(self):
-        """The CI retransmission-off parity claim: ``reliable_link=None``
-        is indistinguishable from a build without the channel."""
+        """Retransmission-off parity: ``reliable_link=None`` is
+        indistinguishable from a build without the channel."""
         for preset in ("full", "rounds", "perf"):
             bare = _snapshot(_run_brb(preset=preset))
             off = _snapshot(_run_brb(link=None, preset=preset))
             assert bare == off, preset
 
     def test_channel_on_without_loss_changes_no_outcome(self):
-        bare = _run_brb()
-        on = _run_brb(link=ReliableLink())
-        assert on.commits == bare.commits
-        assert on.commit_global_times == bare.commit_global_times
-        assert on.messages_sent == bare.messages_sent
-        assert on.retransmissions == 0
-        assert on.acks_sent > 0  # every cross-party copy was acked
+        for preset in ("full", "rounds", "perf"):
+            bare = _run_brb(preset=preset)
+            on = _run_brb(link=ReliableLink(), preset=preset)
+            assert on.commits == bare.commits, preset
+            assert on.commit_global_times == bare.commit_global_times
+            assert on.messages_sent == bare.messages_sent
+            assert on.retransmissions == 0
+            assert on.retries_exhausted == 0
+            assert on.acks_sent > 0  # every cross-party copy was acked
 
     def test_retry_schedule_deterministic_across_presets(self):
         snapshots = [

@@ -13,9 +13,10 @@ semantics need global per-copy visibility must silently fall back — and
 the coordinator's zero-delay convergence (same-instant cross-shard
 cascades re-step until quiescent).
 """
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.coordinator import shard_bounds
@@ -26,10 +27,11 @@ from repro.sim.faults import (
     DuplicateLink,
     FaultPlan,
     Holdback,
+    Partition,
     ReorderJitter,
 )
 from repro.sim.instrumentation import Instrumentation
-from repro.sim.runner import World, run_broadcast
+from repro.sim.runner import COUNTERS, World, run_broadcast
 
 CASES = {
     "brb_2round": (Brb2Round, 13, 4, {}),
@@ -48,21 +50,28 @@ INVARIANT_FIELDS = (
     "equivocations_detected",
 )
 
-#: Fault-engine counters: schedule-invariant too once the plan draws
-#: from counter streams (each link's injections are a pure hash, so the
-#: executor split cannot move them).
-FAULT_FIELDS = (
-    "faults_injected",
-    "messages_dropped",
-    "messages_duplicated",
-    "messages_held",
+#: Run counters that may differ across shard counts: a shard only
+#: batches its local slice of a fan-out, and the ``shard_*`` counters
+#: meter the coordinator's barrier itself.
+SHARD_DEPENDENT = (
+    "deliveries_batched",
+    "delivery_runs_batched",
+    "shard_batches_exchanged",
+    "shard_bytes_sent",
+    "shard_barrier_rounds",
+)
+
+#: Every declared run counter that must merge to its single-process value.
+MERGED_COUNTERS = tuple(
+    name for name in COUNTERS if name not in SHARD_DEPENDENT
 )
 
 
 def _counter_plan(n: int) -> FaultPlan:
-    """A rich tolerated counter-stream plan: one recovering crash plus
-    every link-local primitive (drop, duplicate echo, jitter, holdback)
-    so the parity suite exercises each injector seam across shards.
+    """A rich tolerated counter-stream plan: one recovering crash, a
+    healing partition, plus every link-local primitive (drop, duplicate
+    echo, jitter, holdback) so the parity suite exercises each injector
+    seam — and each counter merge rule — across shards.
     """
     return FaultPlan(
         crashes=(Crash(party=n - 1, at=0.5, recover=2.5),),
@@ -74,8 +83,25 @@ def _counter_plan(n: int) -> FaultPlan:
         holdbacks=(
             Holdback(src=1, dst=2, start=0.0, end=2.0, flush_delay=0.1),
         ),
+        partitions=(
+            Partition(
+                groups=(tuple(range(n // 2)), tuple(range(n // 2, n))),
+                start=0.5, end=1.5, flush_delay=0.1,
+            ),
+        ),
         seed=21,
         stream="counter",
+    )
+
+
+def _outcome(result):
+    """Everything a single-process run reports, but the fallback reason."""
+    return (
+        result.commits,
+        result.commit_global_times,
+        result.final_time,
+        result.shards,
+        result.counters(),
     )
 
 
@@ -130,20 +156,6 @@ class TestShardCountIndependence:
                 assert getattr(result, field) == getattr(
                     baseline, field
                 ), field
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_batch_deliveries_off_parity(self, case):
-        instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            batch_deliveries=False,
-        )
-        baseline = _run(case, shards=1, instrumentation=instrumentation())
-        result = _run(case, shards=2, instrumentation=instrumentation())
-        assert result.shards == 2
-        assert baseline.deliveries_batched == 0
-        assert result.deliveries_batched == 0
-        for field in INVARIANT_FIELDS:
-            assert getattr(result, field) == getattr(baseline, field), field
 
     def test_per_link_delay_parity(self):
         protocol, n, f, _ = CASES["brb_2round"]
@@ -225,8 +237,9 @@ class TestCounterStreamParity:
 
     Counter-stream ``UniformDelay`` (and counter-stream fault plans)
     price every copy as a pure per-link hash, so shards ∈ {1, 2, 4}
-    must replay the identical schedule — including every fault-engine
-    counter when a plan is attached.
+    must replay the identical schedule — and every declared run counter
+    but the shard-dependent ones must merge to its single-process value,
+    which pins each counter's merge rule.
     """
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -250,7 +263,8 @@ class TestCounterStreamParity:
             assert baseline.faults_injected > 0
             assert baseline.messages_duplicated > 0
             assert baseline.messages_held > 0
-        fields = INVARIANT_FIELDS + (FAULT_FIELDS if with_plan else ())
+            assert baseline.partition_windows == 1
+        fields = ("commits", "commit_global_times", "final_time")
         for shards in (2, 4):
             result = _run(
                 case, shards=shards, instrumentation=instrumentation(),
@@ -258,7 +272,7 @@ class TestCounterStreamParity:
             )
             assert result.shards == shards
             assert result.shard_batches_exchanged > 0
-            for field in fields:
+            for field in fields + MERGED_COUNTERS:
                 assert getattr(result, field) == getattr(
                     baseline, field
                 ), field
@@ -297,6 +311,21 @@ class TestForcedSingleProcess:
         world = self._world(shards=1)
         assert self._populate(world) == 1
         assert world.shard_fallback_reason is None
+        # ``shards=1`` is the single-process path in every preset: the
+        # outcome equals a run that never mentions sharding.
+        protocol, n, f, extra = CASES["brb_2round"]
+        for preset in ("full", "rounds", "perf"):
+            one = _run("brb_2round", shards=1, instrumentation=preset)
+            bare = run_broadcast(
+                n=n, f=f,
+                party_factory=protocol.factory(
+                    broadcaster=0, input_value="v", **extra
+                ),
+                delay_policy=FixedDelay(1.0),
+                instrumentation=preset,
+            )
+            assert one.commits, preset
+            assert _outcome(one) == _outcome(bare), preset
 
     def test_sharded_when_nothing_forces(self):
         world = self._world()
@@ -389,18 +418,30 @@ class TestForcedSingleProcess:
         assert world.shard_fallback_reason == "monitors"
 
     def test_fallback_reason_surfaces_on_run_result(self):
-        result = _run(
-            "brb_2round", shards=4, instrumentation="perf",
-            delay=UniformDelay(0.5, 1.0, seed=7),
-        )
-        assert result.shards == 1
-        assert result.shard_fallback_reason == "delay-policy"
+        # A forced fallback runs the single-process schedule: its outcome
+        # equals a ``shards=1`` run that names the default sequential
+        # streams explicitly.
+        plan = FaultPlan(crashes=(Crash(party=3, at=0.5),), seed=9)
+        for reason, fault_plan in (
+            ("delay-policy", None),
+            ("fault-plan", plan),
+        ):
+            forced = _run(
+                "brb_2round", shards=4, instrumentation="perf",
+                delay=UniformDelay(0.5, 1.0, seed=7),
+                fault_plan=fault_plan,
+            )
+            assert forced.shards == 1
+            assert forced.shard_fallback_reason == reason
+            explicit = _run(
+                "brb_2round", shards=1, instrumentation="perf",
+                delay=UniformDelay(0.5, 1.0, seed=7, stream="sequential"),
+                fault_plan=fault_plan and replace(
+                    fault_plan, stream="sequential"
+                ),
+            )
+            assert explicit.commits
+            assert _outcome(forced) == _outcome(explicit), reason
         granted = _run("brb_2round", shards=2, instrumentation="perf")
         assert granted.shards == 2
         assert granted.shard_fallback_reason is None
-
-    def test_max_events_rejected_when_sharded(self):
-        world = self._world()
-        self._populate(world)
-        with pytest.raises(ConfigurationError):
-            world.run(max_events=10)
