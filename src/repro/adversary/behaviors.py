@@ -22,6 +22,7 @@ honest signatures.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -40,6 +41,19 @@ class ByzantineBehavior(Agent):
     def __init__(self, world, party_id: PartyId):
         super().__init__(world, party_id)
         self.signer = world.registry.signer_for(party_id)
+        #: Honest protocol instances run behind this corrupted id, by
+        #: brain key, and the proxy world each one sees.  The brain holds
+        #: its world weakly (as every agent does), so the behavior owns
+        #: the proxy worlds.
+        self._brains: dict[Any, Party] = {}
+        self._brain_worlds: dict[Any, _InnerWorld] = {}
+
+    def _add_brain(
+        self, key: Any, party_factory: Callable[[Any, PartyId], Party]
+    ) -> None:
+        inner_world = _InnerWorld(self, key)
+        self._brain_worlds[key] = inner_world
+        self._brains[key] = party_factory(inner_world, self.id)
 
     def send_raw(
         self,
@@ -94,10 +108,8 @@ class CrashBehavior(ByzantineBehavior):
         from repro.sim.faults import CrashWindow
 
         self.window = CrashWindow(party_id).add(at, recover)
-        self._brains: dict[Any, Party] = {}
         if party_factory is not None:
-            inner_world = _InnerWorld(self, self.BRAIN)
-            self._brains[self.BRAIN] = party_factory(inner_world, party_id)
+            self._add_brain(self.BRAIN, party_factory)
 
     def is_down(self, t: float | None = None) -> bool:
         return self.window.is_down(
@@ -462,7 +474,8 @@ class _InterceptingNetwork:
     """Network proxy that routes an inner party's sends through a filter."""
 
     def __init__(self, behavior: "FilteredHonestBehavior", brain_key: Any):
-        self._behavior = behavior
+        # Weak: the behavior owns this network (through the inner world).
+        self._behavior = weakref.proxy(behavior)
         self._brain_key = brain_key
 
     def send(
@@ -492,10 +505,19 @@ class _InterceptingNetwork:
 
 
 class _InnerWorld:
-    """World proxy seen by an inner (honestly-behaving) party instance."""
+    """World proxy seen by an inner (honestly-behaving) party instance.
+
+    Owned by its behavior, and holding neither the behavior nor the outer
+    world strongly, so no reference cycle runs through it.
+    """
+
+    #: Outer-world services the inner party shares, looked up on demand
+    #: (``__getattr__``) so no bound method pins the outer world.
+    _SHARED = frozenset({"intern_payload", "shared_memo"})
 
     def __init__(self, behavior, brain_key):
-        outer = behavior.world
+        outer = behavior.world  # a weak proxy, like every agent's world
+        self._outer = outer
         self.n = outer.n
         self.f = outer.f
         self.sim = outer.sim
@@ -505,18 +527,17 @@ class _InnerWorld:
         # Share the outer world's observability mode: under "perf" the
         # inner brain must not pay for transcripts either.
         self.instrumentation = outer.instrumentation
+
+    def __getattr__(self, name: str) -> Any:
         # Share the outer payload interner so the brain's vote/echo cores
         # coincide with the honest parties' (identity-cache hits), and the
         # outer memo registry so e.g. the brain's certificate checker
         # pools verdicts with the honest parties' (the memo keys carry
         # the registry and full checker configuration, so pooling across
         # differently-configured users is structurally safe).
-        intern = getattr(outer, "intern_payload", None)
-        if intern is not None:
-            self.intern_payload = intern
-        shared = getattr(outer, "shared_memo", None)
-        if shared is not None:
-            self.shared_memo = shared
+        if name in _InnerWorld._SHARED:
+            return getattr(self._outer, name)
+        raise AttributeError(name)
 
     def note_commit(
         self, party: PartyId, value: Any = None, time: float | None = None
@@ -546,9 +567,7 @@ class FilteredHonestBehavior(ByzantineBehavior):
     ):
         super().__init__(world, party_id)
         self._send_filter = send_filter
-        self._brains: dict[Any, Party] = {}
-        inner_world = _InnerWorld(self, self.BRAIN)
-        self._brains[self.BRAIN] = party_factory(inner_world, party_id)
+        self._add_brain(self.BRAIN, party_factory)
 
     def start(self) -> None:
         for brain in self._brains.values():
@@ -627,9 +646,8 @@ class SplitBrainBehavior(FilteredHonestBehavior):
         ByzantineBehavior.__init__(self, world, party_id)
         self._send_filter = send_filter
         self._membership = membership
-        self._brains = {}
         for key, factory in brain_factories.items():
-            self._brains[key] = factory(_InnerWorld(self, key), party_id)
+            self._add_brain(key, factory)
 
     def start(self) -> None:
         for brain in self._brains.values():

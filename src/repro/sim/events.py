@@ -1,59 +1,68 @@
 """Event queue for the deterministic discrete-event simulator.
 
-Events are ordered by ``(time, priority, order_key, seq)`` where ``seq`` is
-the insertion sequence number.  The sequence number makes tie-breaking fully
-deterministic: two events scheduled for the same instant fire in the order
-they were scheduled.  Lower-bound witnesses depend on this reproducibility
-to compare transcripts byte-for-byte across executions.
+The heap holds plain tuples::
 
-Cancellation is lazy: :meth:`Event.cancel` only flags the entry, and the
-queue drops flagged entries when they surface at the heap top (or in a bulk
-compaction once they dominate the heap).  Live-entry bookkeeping is kept
-incrementally — ``len(queue)`` and ``bool(queue)`` are O(1), never a heap
-scan — which matters because the scheduler polls the queue once per event.
+    (time, priority, order_key, seq, action, args, handle)
+
+ordered by ``(time, priority, order_key, seq)``, where ``seq`` is the
+insertion sequence number.  ``seq`` is unique, so comparisons always
+resolve within that plain-data prefix and run entirely in C.  The
+sequence number also makes tie-breaking fully deterministic: two entries
+scheduled for the same instant fire in the order they were scheduled.
+Lower-bound witnesses depend on this reproducibility to compare
+transcripts byte-for-byte across executions.  ``order_key`` canonicalizes
+ties before ``seq``: message deliveries use the payload digest, so
+simultaneous deliveries are processed in a content-determined order that
+is invariant across the paired executions of the lower-bound
+constructions — the model treats same-instant delivery order as
+adversary-chosen anyway.
+
+When an entry fires, the scheduler calls ``action(*args)``.  ``handle`` is
+an :class:`Event` only for work its scheduler may cancel (timers,
+behavior steps, retransmission checks, start steps — everything pushed
+through :meth:`EventQueue.push`); message deliveries are pushed handle-free
+through :meth:`EventQueue.push_batch`, so one delivered copy costs one heap
+tuple and its argument tuple, and no per-copy object the cyclic collector
+has to track beyond them.
+
+Cancellation is lazy: :meth:`Event.cancel` only flags the handle, and the
+queue drops flagged entries when they surface at the heap top (or in a
+bulk compaction once they dominate the heap).  ``len(queue)`` and
+``bool(queue)`` are O(1), never a heap scan.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 
 #: Compaction triggers only past this many cancelled entries (and only when
 #: they outnumber live ones), so small queues never pay the rebuild.
 _COMPACT_MIN_CANCELLED = 64
 
+#: One heap entry; see the module docstring.
+Entry = tuple[float, int, bytes, int, Callable[..., None], tuple, Any]
 
-@dataclass(order=True, slots=True)
+
 class Event:
-    """One scheduled callback.  Ordering fields first; payload excluded.
+    """Cancellable handle of one scheduled callback.
 
-    ``order_key`` canonicalizes ties: two events at the same instant and
-    priority fire in ``order_key`` order (then insertion order).  Message
-    deliveries use the payload digest, so simultaneous deliveries are
-    processed in a content-determined order that is invariant across the
-    paired executions of the lower-bound constructions — the model treats
-    same-instant delivery order as adversary-chosen anyway.
-
-    ``args`` are positional arguments the scheduler passes to ``action``
-    when the event fires; binding them here lets high-volume callers
-    (message deliveries) skip allocating a ``partial`` per event.
+    ``time`` and ``label`` are kept for debugging; the queue orders the
+    heap entry, never the handle.
     """
 
-    time: float
-    priority: int
-    order_key: bytes
-    seq: int
-    action: Callable[..., None] = field(compare=False)
-    args: tuple = field(default=(), compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-    #: Back-reference to the owning queue while the event sits in its heap;
-    #: cleared on pop so a late ``cancel()`` cannot corrupt the counters.
-    queue: Optional["EventQueue"] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("time", "label", "cancelled", "queue")
+
+    def __init__(
+        self, time: float, label: str, queue: Optional["EventQueue"]
+    ) -> None:
+        self.time = time
+        self.label = label
+        self.cancelled = False
+        #: The owning queue while the entry sits in its heap; cleared when
+        #: the entry fires, so a late ``cancel()`` cannot corrupt counters.
+        self.queue = queue
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when popped."""
@@ -65,19 +74,18 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic min-heap of scheduled callbacks.
 
-    Heap entries are ``(time, priority, order_key, seq, event)`` tuples:
-    ``seq`` is unique, so comparisons always resolve within the plain-data
-    prefix and run entirely in C — the generated ``Event.__lt__`` never
-    enters the heap's hot path.
+    Consumers that drain the heap themselves (the simulator's run loops)
+    may hold on to ``_heap``: the list object is never replaced, only
+    rebuilt in place, so a push made after a compaction lands in the list
+    they hold.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, bytes, int, Event]] = []
+        self._heap: list[Entry] = []
         self._counter = itertools.count()
-        self._live = 0  # non-cancelled events currently in the heap
-        self._cancelled = 0  # cancelled events awaiting lazy removal
+        self._cancelled = 0  # cancelled entries awaiting lazy removal
 
     def push(
         self,
@@ -91,90 +99,85 @@ class EventQueue:
     ) -> Event:
         """Schedule ``action(*args)`` at ``time``; returns a cancellable
         handle."""
-        seq = next(self._counter)
-        event = Event(
-            time, priority, order_key, seq, action, args,
-            label=label, queue=self,
-        )
-        heapq.heappush(self._heap, (time, priority, order_key, seq, event))
-        self._live += 1
+        event = Event(time, label, self)
+        heapq.heappush(self._heap, (
+            time, priority, order_key, next(self._counter), action, args,
+            event,
+        ))
         return event
 
     def push_batch(
         self,
-        time: float,
-        action: Callable[..., None],
-        args_seq: list[tuple],
+        entries: list[tuple[float, Callable[..., None], tuple]],
         *,
         priority: int = 0,
         order_key: bytes = b"",
-        label: str = "",
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every tuple in
-        ``args_seq``, sharing one ``(priority, order_key)`` prefix.
+        """Schedule ``action(*args)`` at ``time`` for every
+        ``(time, action, args)`` in ``entries``, sharing one
+        ``(priority, order_key)``; returns the number scheduled.
 
-        Exactly equivalent to calling :meth:`push` once per tuple (same
-        ``seq`` assignment, same pop order) — the batch form exists so a
-        multicast fan-out crosses the queue boundary once per distinct
-        delivery instant.  No handles are returned: batch pushes are for
-        fire-and-forget deliveries; returns the number of events
-        scheduled.
+        Seqs are assigned in list order, so the batch is exactly
+        equivalent to one :meth:`push` per entry (same pop order).  No
+        handles exist: batch entries are fire-and-forget deliveries.
         """
         heap = self._heap
         counter = self._counter
         heappush = heapq.heappush
-        for args in args_seq:
-            seq = next(counter)
-            event = Event(
-                time, priority, order_key, seq, action, args,
-                label=label, queue=self,
-            )
-            heappush(heap, (time, priority, order_key, seq, event))
-        self._live += len(args_seq)
-        return len(args_seq)
+        for time, action, args in entries:
+            heappush(heap, (
+                time, priority, order_key, next(counter), action, args, None,
+            ))
+        return len(entries)
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
+    def pop(self) -> Entry | None:
+        """Remove and return the earliest live entry, or ``None``."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[4]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.queue = None
-            self._live -= 1
-            return event
+            entry = heapq.heappop(heap)
+            handle = entry[6]
+            if handle is not None:
+                if handle.cancelled:
+                    self._cancelled -= 1
+                    continue
+                handle.queue = None
+            return entry
         return None
 
     def peek_time(self) -> float | None:
-        """Time of the earliest pending event without removing it."""
+        """Time of the earliest live entry without removing it."""
         heap = self._heap
-        while heap and heap[0][4].cancelled:
+        while heap:
+            handle = heap[0][6]
+            if handle is None or not handle.cancelled:
+                return heap[0][0]
             heapq.heappop(heap)
             self._cancelled -= 1
-        if heap:
-            return heap[0][0]
         return None
 
     def _note_cancel(self) -> None:
         """Bookkeeping callback from :meth:`Event.cancel` (in-heap only)."""
-        self._live -= 1
         self._cancelled += 1
         if (
             self._cancelled > _COMPACT_MIN_CANCELLED
-            and self._cancelled > self._live
+            and 2 * self._cancelled > len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (amortized O(live))."""
-        self._heap = [entry for entry in self._heap if not entry[4].cancelled]
-        heapq.heapify(self._heap)
+        """Rebuild the heap without cancelled entries (amortized O(live)).
+
+        In place: the run loops hold the list object itself."""
+        heap = self._heap
+        heap[:] = [
+            entry for entry in heap
+            if entry[6] is None or not entry[6].cancelled
+        ]
+        heapq.heapify(heap)
         self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live > 0
-
+        return len(self._heap) > self._cancelled

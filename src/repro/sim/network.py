@@ -164,7 +164,9 @@ class Network:
         is Byzantine (the model lets the adversary choose any delay on
         links touching a corrupted party).  ``INF`` drops the message.
         """
-        self._send_one(sender, recipient, payload, delay_override, None)
+        entries: list[tuple] = []
+        self._send_one(sender, recipient, payload, delay_override, entries)
+        self._flush(entries, payload)
 
     def multicast(
         self,
@@ -183,23 +185,25 @@ class Network:
         The whole fan-out samples **one delay vector** from the policy
         (``delays_for_multicast``), computes **one** scheduling
         ``order_key`` digest — and none at all if the adversary drops
-        every copy — and crosses the scheduler boundary **once per
-        distinct delivery instant** (``schedule_batch``).  Byzantine ``delay_override`` fan-outs keep the
-        exact per-recipient path (the override, not the policy, sets the
-        delay).
+        every copy — and crosses the scheduler boundary **once**: its
+        delivery entries are built in recipient order and handed over in
+        one ``schedule_batch`` call.  Byzantine ``delay_override``
+        fan-outs keep the exact per-recipient path (the override, not
+        the policy, sets the delay).
         """
         injector = self._injector
         if injector is not None and injector.block_send(
             sender, self._sim.now
         ):
             return  # sender is inside a crash window: nothing leaves it
+        entries: list[tuple] = []
         if delay_override is not None:
-            order_key = None
             for recipient in self._fanout_for(sender):
-                order_key = self._send_one(
-                    sender, recipient, payload, delay_override, order_key
+                self._send_one(
+                    sender, recipient, payload, delay_override, entries
                 )
-            self._deliver_self(sender, payload, include_self, order_key)
+            self._deliver_self(sender, payload, include_self, entries)
+            self._flush(entries, payload)
             return
 
         recipients = self._fanout_for(sender)
@@ -212,199 +216,119 @@ class Network:
                 f"{len(recipients)} recipients"
             )
         send_time = self._sim.now
-        order_key = None
         self.messages_sent += len(recipients)
         if (
             self._common_offset is not None
             and injector is None
             and self._reliable is None
-            and self._accountant is None
-            and self._envelopes is None
         ):
-            # Fully batched fan-out: each run of >= 2 equal delays is one
-            # event carrying the recipient slice; the per-copy loop
-            # moves inside ``_deliver_many``.  Legal only with no
-            # per-copy observer (accountant/envelopes) and no injector —
-            # their seams are per copy — and only for runs delivered
-            # strictly after ``send_time`` (a same-instant run's copies
-            # would already be consumed when a reaction to the first copy
-            # schedules, losing the per-copy tie-break the heap gives).
-            order_key = self._multicast_runs(
-                sender, recipients, delays, payload, send_time
+            self._fanout_entries(
+                sender, recipients, delays, payload, send_time, entries
             )
-        elif (
-            self._common_offset is not None
-            and injector is None
-            and self._reliable is None
-        ):
-            # Batched fast fan-out: with one start offset for everyone,
-            # the delivery time is a pure function of the delay, so runs
-            # of equal delays (every fixed/Gst-stable policy) share one
-            # quantize call and are flushed as one ``schedule_batch``
-            # (identical seq assignment to a per-copy loop, so the
-            # schedule is byte-identical).  Delivery rules are the same
-            # as ``_schedule_copy``'s: INF drops, negatives raise, the
-            # order key is only digested once a copy is actually
-            # scheduled.  Accountant/envelope observers, when enabled,
-            # record per copy while the batch is assembled — same order
-            # as the per-copy path.
-            offset = self._common_offset
-            accountant = self._accountant
-            envelopes = self._envelopes
-            schedule_batch = self._sim.schedule_batch
-            deliver = self._deliver
-            prev_delay: float | None = None
-            deliver_time = 0.0
-            batch: list[tuple] = []
-            for recipient, delay in zip(recipients, delays):
-                if delay != prev_delay:
-                    if batch:
-                        schedule_batch(
-                            deliver_time, deliver, batch,
-                            order_key=order_key, label="deliver",
-                        )
-                        batch = []
-                    if delay == INF:
-                        prev_delay, deliver_time = delay, INF
-                        continue
-                    if delay < 0:
-                        raise SimulationError(
-                            f"policy produced negative delay {delay}"
-                        )
-                    prev_delay = delay
-                    deliver_time = quantize(max(send_time + delay, offset))
-                    if order_key is None:
-                        order_key = digest(payload)
-                elif deliver_time == INF:
-                    continue
-                msg_id = (
-                    accountant.register_send()
-                    if accountant is not None
-                    else None
-                )
-                if envelopes is not None:
-                    envelopes.append(
-                        Envelope(
-                            sender, recipient, payload, send_time,
-                            deliver_time,
-                        )
-                    )
-                batch.append((sender, recipient, payload, msg_id))
-            if batch:
-                schedule_batch(
-                    deliver_time, deliver, batch, order_key=order_key,
-                    label="deliver",
-                )
         else:
             for recipient, delay in zip(recipients, delays):
-                order_key = self._schedule_copy(
-                    sender, recipient, payload, delay, send_time, order_key
+                self._schedule_copy(
+                    sender, recipient, payload, delay, send_time, entries
                 )
-        self._deliver_self(sender, payload, include_self, order_key)
+        self._deliver_self(sender, payload, include_self, entries)
+        self._flush(entries, payload)
 
-    def _multicast_runs(
+    def _fanout_entries(
         self,
         sender: PartyId,
         recipients: list[PartyId],
         delays: list[float],
         payload: Any,
         send_time: float,
-    ) -> bytes | None:
-        """Schedule a fan-out as one event per equal-delay run.
+        entries: list[tuple],
+    ) -> None:
+        """Build a fan-out's delivery entries, in recipient order.
 
-        Delivery rules match ``_schedule_copy``: INF runs are dropped,
-        negative delays raise, times are quantized against the common
-        start offset, and the order-key digest happens only once a run is
-        actually scheduled.  Runs are flushed in recipient order, so the
-        schedule's ``(time, priority, order_key)`` ordering — and hence
-        every party's inbox order — is identical to the per-copy path.
+        With one start offset for everyone, the delivery time is a pure
+        function of the delay, so each run of equal delays (every
+        fixed/Gst-stable policy) shares one quantize call.  Delivery rules
+        match ``_schedule_copy``: INF drops, negatives raise.
+
+        With no per-copy observer (accountant, envelopes) a run of >= 2
+        copies delivered strictly after ``send_time`` folds into one
+        ``_deliver_many`` entry carrying the recipient slice.  A
+        same-instant run stays per copy: its copies would already be
+        consumed when a reaction to the first copy schedules, losing the
+        per-copy tie-break the heap gives.  Observers, when enabled,
+        record per copy in recipient order, as the per-copy path does.
         """
         offset = self._common_offset
-        order_key = None
-        prev_delay: float | None = None
-        deliver_time = 0.0
+        accountant = self._accountant
+        envelopes = self._envelopes
+        fold = accountant is None and envelopes is None
+        deliver = self._deliver
+        append = entries.append
+        count = len(delays)
         start = 0
-        for idx, delay in enumerate(delays):
-            if delay == prev_delay:
-                continue
-            if idx > start and deliver_time != INF:
-                if order_key is None:
-                    order_key = digest(payload)
-                self._schedule_run(
-                    sender, recipients, start, idx, payload,
-                    deliver_time, send_time, order_key,
-                )
-            start = idx
-            prev_delay = delay
+        while start < count:
+            delay = delays[start]
+            end = start + 1
+            while end < count and delays[end] == delay:
+                end += 1
             if delay == INF:
-                deliver_time = INF
-            else:
-                if delay < 0:
-                    raise SimulationError(
-                        f"policy produced negative delay {delay}"
+                start = end
+                continue
+            if delay < 0:
+                raise SimulationError(f"policy produced negative delay {delay}")
+            deliver_time = quantize(max(send_time + delay, offset))
+            if fold:
+                if end - start == 1:
+                    append((
+                        deliver_time, deliver,
+                        (sender, recipients[start], payload, None),
+                    ))
+                elif deliver_time > send_time:
+                    # The full fan-out reuses the cached recipient list
+                    # itself (the cache is write-once).
+                    run = (
+                        recipients
+                        if end - start == count
+                        else recipients[start:end]
                     )
-                deliver_time = quantize(max(send_time + delay, offset))
-        end = len(delays)
-        if end > start and deliver_time != INF:
-            if order_key is None:
-                order_key = digest(payload)
-            self._schedule_run(
-                sender, recipients, start, end, payload,
-                deliver_time, send_time, order_key,
-            )
-        return order_key
+                    append((
+                        deliver_time, self._deliver_many,
+                        (sender, run, payload),
+                    ))
+                    self.delivery_runs_batched += 1
+                    self.deliveries_batched += end - start
+                else:
+                    for recipient in recipients[start:end]:
+                        append((
+                            deliver_time, deliver,
+                            (sender, recipient, payload, None),
+                        ))
+            else:
+                for recipient in recipients[start:end]:
+                    msg_id = (
+                        accountant.register_send()
+                        if accountant is not None
+                        else None
+                    )
+                    if envelopes is not None:
+                        envelopes.append(Envelope(
+                            sender, recipient, payload, send_time,
+                            deliver_time,
+                        ))
+                    append((
+                        deliver_time, deliver,
+                        (sender, recipient, payload, msg_id),
+                    ))
+            start = end
 
-    def _schedule_run(
-        self,
-        sender: PartyId,
-        recipients: list[PartyId],
-        start: int,
-        end: int,
-        payload: Any,
-        deliver_time: float,
-        send_time: float,
-        order_key: bytes,
-    ) -> None:
-        """Schedule one equal-delay run: a single ``_deliver_many`` event
-        for real runs, the classic per-copy events for singletons (same
-        event shape, seq and cost as before) and for same-instant runs
-        (their copies must stay individually orderable against reactions
-        the run itself triggers)."""
-        count = end - start
-        if count == 1:
-            self._sim.schedule_at(
-                deliver_time,
-                self._deliver,
-                order_key=order_key,
-                label="deliver",
-                args=(sender, recipients[start], payload, None),
-            )
-            return
-        if deliver_time <= send_time:
-            self._sim.schedule_batch(
-                deliver_time,
-                self._deliver,
-                [(sender, r, payload, None) for r in recipients[start:end]],
-                order_key=order_key,
-                label="deliver",
-            )
-            return
-        # The full fan-out reuses the cached recipient list itself (the
-        # cache is write-once, so the event cannot observe a mutation).
-        run = (
-            recipients
-            if count == len(recipients)
-            else recipients[start:end]
-        )
-        self.delivery_runs_batched += 1
-        self.deliveries_batched += count
-        self._sim.schedule_at(
-            deliver_time,
-            self._deliver_many,
-            order_key=order_key,
-            label="deliver-run",
-            args=(sender, run, payload),
-        )
+    def _flush(self, entries: list[tuple], payload: Any) -> None:
+        """Hand a send's delivery entries to the kernel in one call.
+
+        The order key is digested only here, once a copy is actually
+        scheduled: a message the adversary withholds forever (every copy
+        INF-delayed or dropped) is never encoded at all.
+        """
+        if entries:
+            self._sim.schedule_batch(entries, order_key=digest(payload))
 
     def _deliver_many(
         self, sender: PartyId, recipients: list[PartyId], payload: Any
@@ -434,15 +358,13 @@ class Network:
         sender: PartyId,
         payload: Any,
         include_self: bool,
-        order_key: bytes | None,
+        entries: list[tuple],
     ) -> None:
         if not include_self:
             return
-        if order_key is None:
-            order_key = digest(payload)
         self.messages_sent += 1
-        self._schedule_delivery(
-            sender, sender, payload, self._sim.now, order_key
+        entries.append(
+            self._copy_entry(sender, sender, payload, self._sim.now)
         )
 
     def _send_one(
@@ -451,21 +373,16 @@ class Network:
         recipient: PartyId,
         payload: Any,
         delay_override: float | None,
-        order_key: bytes | None,
-    ) -> bytes | None:
-        """Send one copy; returns the order key once a delivery needed it.
-
-        ``order_key=None`` defers the digest until a copy is actually
-        scheduled — a message the adversary withholds forever is never
-        encoded at all (matching the pre-cache behavior).
-        """
+        entries: list[tuple],
+    ) -> None:
+        """Price one copy and append its delivery entries to ``entries``."""
         if not 0 <= recipient < self._n:
             raise SimulationError(f"recipient {recipient} out of range")
         send_time = self._sim.now
         if self._injector is not None and self._injector.block_send(
             sender, send_time
         ):
-            return order_key
+            return
         if delay_override is not None:
             if sender not in self._byzantine and recipient not in self._byzantine:
                 raise SimulationError(
@@ -476,8 +393,8 @@ class Network:
         else:
             delay = self._policy.delay(sender, recipient, payload, send_time)
         self.messages_sent += 1
-        return self._schedule_copy(
-            sender, recipient, payload, delay, send_time, order_key
+        self._schedule_copy(
+            sender, recipient, payload, delay, send_time, entries
         )
 
     def _schedule_copy(
@@ -487,14 +404,14 @@ class Network:
         payload: Any,
         delay: float,
         send_time: float,
-        order_key: bytes | None,
-    ) -> bytes | None:
-        """Schedule one already-priced copy; the single home of the
-        per-copy delivery rules (INF drop, negative-delay check, pre-start
-        buffering, time quantization, deferred order-key digest) shared by
-        the unicast/override path and the batched multicast fan-out."""
+        entries: list[tuple],
+    ) -> None:
+        """Build one already-priced copy's delivery entries; the single
+        home of the per-copy delivery rules (INF drop, negative-delay
+        check, pre-start buffering, time quantization) shared by the
+        unicast/override path and the per-copy multicast fan-out."""
         if delay == INF:
-            return order_key
+            return
         if delay < 0:
             raise SimulationError(f"policy produced negative delay {delay}")
         deliver_time = quantize(
@@ -510,37 +427,30 @@ class Network:
         )
         if self._injector is not None:
             # Fault seam: the injector may drop, retime, or duplicate
-            # this copy.  The order-key digest stays lazy — a copy the
-            # plan drops is never encoded, like an INF-delayed one.
-            deliveries = self._injector.route(
+            # this copy.
+            for faulted_time in self._injector.route(
                 sender, recipient, send_time, deliver_time
-            )
-            if not deliveries:
-                return order_key
-            if order_key is None:
-                order_key = digest(payload)
-            for faulted_time in deliveries:
-                self._schedule_delivery(
-                    sender, recipient, payload,
-                    quantize(faulted_time), order_key, transfer,
-                )
-            return order_key
-        if order_key is None:
-            order_key = digest(payload)
-        self._schedule_delivery(
-            sender, recipient, payload, deliver_time, order_key, transfer
-        )
-        return order_key
+            ):
+                entries.append(self._copy_entry(
+                    sender, recipient, payload, quantize(faulted_time),
+                    transfer,
+                ))
+            return
+        entries.append(self._copy_entry(
+            sender, recipient, payload, deliver_time, transfer
+        ))
 
-    def _schedule_delivery(
+    def _copy_entry(
         self,
         sender: PartyId,
         recipient: PartyId,
         payload: Any,
         deliver_time: float,
-        order_key: bytes,
         transfer: "_Transfer | None" = None,
-    ) -> None:
+    ) -> tuple:
+        """One copy's ``(time, action, args)`` entry, observed on the way:
+        the accountant registers the send and the envelope log records
+        it, both in scheduling order."""
         msg_id = (
             self._accountant.register_send()
             if self._accountant is not None
@@ -550,26 +460,14 @@ class Network:
             self._envelopes.append(
                 Envelope(sender, recipient, payload, self._sim.now, deliver_time)
             )
-        # A static label: formatting "deliver s->r" per message was a
-        # measurable slice of the delivery hot path at n >= 100, and the
-        # endpoints stay recoverable from the event's bound ``args``.
-        # Binding the arguments on the event (instead of a ``partial``)
-        # avoids one allocation per message.
         if transfer is not None:
-            self._sim.schedule_at(
-                deliver_time,
-                self._deliver_tracked,
-                order_key=order_key,
-                label="deliver",
-                args=(sender, recipient, payload, msg_id, transfer),
+            return (
+                deliver_time, self._deliver_tracked,
+                (sender, recipient, payload, msg_id, transfer),
             )
-            return
-        self._sim.schedule_at(
-            deliver_time,
-            self._deliver,
-            order_key=order_key,
-            label="deliver",
-            args=(sender, recipient, payload, msg_id),
+        return (
+            deliver_time, self._deliver,
+            (sender, recipient, payload, msg_id),
         )
 
     def _deliver(
@@ -658,21 +556,19 @@ class Network:
             )
         )
         self.messages_sent += 1
-        order_key = digest(transfer.payload)
-        if injector is not None:
-            deliveries = injector.route(
+        times = (
+            [deliver_time] if injector is None
+            else map(quantize, injector.route(
                 transfer.sender, transfer.recipient, send_time, deliver_time
-            )
-            for faulted_time in deliveries:
-                self._schedule_delivery(
-                    transfer.sender, transfer.recipient, transfer.payload,
-                    quantize(faulted_time), order_key, transfer,
-                )
-            return True
-        self._schedule_delivery(
-            transfer.sender, transfer.recipient, transfer.payload,
-            deliver_time, order_key, transfer,
+            ))
         )
+        self._flush([
+            self._copy_entry(
+                transfer.sender, transfer.recipient, transfer.payload,
+                time, transfer,
+            )
+            for time in times
+        ], transfer.payload)
         return True
 
     # ------------------------------------------------------------------ #

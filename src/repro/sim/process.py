@@ -9,6 +9,7 @@ only records the atomic step at which it committed.
 """
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
@@ -26,7 +27,15 @@ class Agent:
     """Anything attached to the network: honest party or Byzantine shell."""
 
     def __init__(self, world: "World", party_id: PartyId):
-        self.world = world
+        # A weak proxy: the world owns its agents (``agents``, the
+        # network's inboxes), so a strong back-reference would turn every
+        # finished world into cyclic garbage only the cyclic collector
+        # frees.  Whoever builds a proxy world for an inner party (an
+        # adversary brain, an SMR slot) must keep that world alive.
+        self.world = (
+            world if isinstance(world, weakref.ProxyTypes)
+            else weakref.proxy(world)
+        )
         self.id = party_id
 
     def start(self) -> None:

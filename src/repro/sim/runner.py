@@ -16,6 +16,8 @@ seed.
 """
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -34,6 +36,26 @@ from repro.types import PartyId, Value
 PartyFactory = Callable[["World", PartyId], Party]
 #: Builds a Byzantine agent: (world, party_id) -> Agent
 BehaviorFactory = Callable[["World", PartyId], Agent]
+
+#: Cyclic-collector thresholds while a kernel loop runs.  The pending
+#: heap entries are long-lived container objects the collector rescans
+#: without ever freeing one; at CPython's default first threshold (700)
+#: it did so hundreds of times per run.  BRB n=601, uniform delays, perf
+#: preset (Python 3.11.7, 2 CPUs): 12.6 s at the default thresholds,
+#: 6.7 s at these.
+KERNEL_GC_THRESHOLD = (200_000, 50, 1000)
+
+
+@contextmanager
+def kernel_gc_policy():
+    """Run the body under :data:`KERNEL_GC_THRESHOLD`, restoring the
+    caller's thresholds on the way out (also on error, and when nested)."""
+    saved = gc.get_threshold()
+    gc.set_threshold(*KERNEL_GC_THRESHOLD)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
 
 
 class World:
@@ -372,7 +394,8 @@ class World:
 
             self._sharded_result = run_sharded(self, until=until)
             return self._sharded_result
-        self.sim.run(until=until)
+        with kernel_gc_policy():
+            self.sim.run(until=until)
         return self.result()
 
     def counters(self) -> dict[str, int]:

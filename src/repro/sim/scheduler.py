@@ -7,6 +7,7 @@ parameters in those units.
 """
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -57,7 +58,8 @@ class Simulator:
         label: str = "",
         args: tuple = (),
     ) -> Event:
-        """Schedule ``action(*args)`` at absolute virtual time ``time``."""
+        """Schedule ``action(*args)`` at absolute virtual time ``time``;
+        returns a cancellable handle."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self._now}"
@@ -69,27 +71,25 @@ class Simulator:
 
     def schedule_batch(
         self,
-        time: float,
-        action: Callable[..., None],
-        args_seq: list[tuple],
+        entries: list[tuple[float, Callable[..., None], tuple]],
         *,
         priority: int = 0,
         order_key: bytes = b"",
-        label: str = "",
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every tuple in
-        ``args_seq`` in one queue call.  Equivalent to a loop of
-        :meth:`schedule_at` — same sequence numbers, same firing order —
-        but returns no handles, so it is for fire-and-forget work
-        (message fan-outs); returns the number of events scheduled.
+        """Schedule every ``(time, action, args)`` of ``entries`` in one
+        queue call.  Equivalent to a loop of :meth:`schedule_at` — same
+        sequence order, same firing order — but returns no handles, so it
+        is for fire-and-forget work (message fan-outs); returns the
+        number of entries scheduled.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
+        now = self._now
+        for entry in entries:
+            if entry[0] < now:
+                raise SimulationError(
+                    f"cannot schedule event at {entry[0]} before now={now}"
+                )
         return self._queue.push_batch(
-            time, action, args_seq, priority=priority, order_key=order_key,
-            label=label,
+            entries, priority=priority, order_key=order_key
         )
 
     def schedule_after(
@@ -123,28 +123,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until} before now={self._now}"
             )
+        if until is None and max_events is None:
+            return self._drain(None)
         self._running = True
         processed = 0
+        queue = self._queue
+        heap = queue._heap
         try:
-            if until is None and max_events is None:
-                # Run-to-quiescence fast path: no horizon to respect, so
-                # pop directly instead of peeking then popping (one heap
-                # probe per event instead of two).
-                pop = self._queue.pop
-                while True:
-                    event = pop()
-                    if event is None:
-                        break
-                    self._now = event.time
-                    args = event.args
-                    if args:
-                        event.action(*args)
-                    else:
-                        event.action()
-                    self._events_processed += 1
-                return self._now
             while True:
-                next_time = self._queue.peek_time()
+                next_time = queue.peek_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
@@ -152,17 +139,42 @@ class Simulator:
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self._now = event.time
-                args = event.args
-                if args:
-                    event.action(*args)
-                else:
-                    event.action()
+                time, _, _, _, action, args, handle = heappop(heap)
+                if handle is not None:
+                    handle.queue = None
+                self._now = time
+                action(*args)
                 processed += 1
-                self._events_processed += 1
         finally:
+            self._events_processed += processed
+            self._running = False
+        return self._now
+
+    def _drain(self, horizon: float | None) -> float:
+        """The hot loop: fire every entry strictly before ``horizon``
+        (all of them for ``None``), one heap pop per entry."""
+        if self._running:
+            raise SimulationError("simulator is not re-entrant")
+        self._running = True
+        processed = 0
+        queue = self._queue
+        # Safe to hold: compaction rebuilds this very list in place.
+        heap = queue._heap
+        try:
+            while heap:
+                if horizon is not None and heap[0][0] >= horizon:
+                    break
+                time, _, _, _, action, args, handle = heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        queue._cancelled -= 1
+                        continue
+                    handle.queue = None
+                self._now = time
+                action(*args)
+                processed += 1
+        finally:
+            self._events_processed += processed
             self._running = False
         return self._now
 
@@ -191,28 +203,7 @@ class Simulator:
         advanced to the horizon itself — so the merged ``final_time``
         still reports the last real event.
         """
-        if self._running:
-            raise SimulationError("simulator is not re-entrant")
-        self._running = True
-        try:
-            peek = self._queue.peek_time
-            pop = self._queue.pop
-            while True:
-                next_time = peek()
-                if next_time is None or next_time >= horizon:
-                    break
-                event = pop()
-                assert event is not None
-                self._now = event.time
-                args = event.args
-                if args:
-                    event.action(*args)
-                else:
-                    event.action()
-                self._events_processed += 1
-        finally:
-            self._running = False
-        return self._now
+        return self._drain(horizon)
 
     def next_event_time(self) -> float | None:
         """Time of the earliest queued event, or ``None`` when empty.

@@ -56,7 +56,7 @@ from repro.errors import SimulationError
 from repro.sim.clock import quantize
 from repro.sim.instrumentation import Instrumentation
 from repro.sim.network import Network
-from repro.sim.runner import World
+from repro.sim.runner import World, kernel_gc_policy
 from repro.types import INF, PartyId
 
 __all__ = ["ShardNetwork", "_ShardRegistry", "_ShardWorld", "_shard_main"]
@@ -249,7 +249,7 @@ class ShardNetwork(Network):
             return
         # Remote fan-out: price each range through the same policy and
         # fold equal-delay runs into one record each, mirroring
-        # ``_multicast_runs``' INF/negative/quantize rules.
+        # ``_fanout_entries``' INF/negative/quantize rules.
         for remote in self._remote_ranges:
             delays = policy.delays_for_multicast(
                 sender, remote, payload, send_time
@@ -375,7 +375,8 @@ def _shard_main(conn, spec: dict) -> None:
     that would deadlock the barrier) and re-raised.
     """
     try:
-        _shard_loop(conn, spec)
+        with kernel_gc_policy():
+            _shard_loop(conn, spec)
     except Exception:
         import traceback
 

@@ -14,6 +14,7 @@ instance in slot order once the committed prefix is contiguous.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable
 
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
@@ -53,7 +54,7 @@ class _SlotNetwork:
     """Network proxy wrapping slot messages with the slot tag."""
 
     def __init__(self, replica: "SmrReplica", slot: int):
-        self._replica = replica
+        self._replica = replica  # a weak proxy (see ``_SlotWorld``)
         self._slot = slot
 
     def send(self, sender, recipient, payload, *, delay_override=None):
@@ -67,10 +68,20 @@ class _SlotNetwork:
 
 
 class _SlotWorld:
-    """World proxy seen by one slot's protocol instance."""
+    """World proxy seen by one slot's protocol instance.
+
+    Owned by its replica, and holding neither the replica nor the outer
+    world strongly, so no reference cycle runs through it.
+    """
+
+    #: Outer-world services slot instances share, looked up on demand
+    #: (``__getattr__``) so no bound method pins the outer world.
+    _SHARED = frozenset({"intern_payload", "shared_memo"})
 
     def __init__(self, replica: "SmrReplica", slot: int):
-        outer = replica.world
+        outer = replica.world  # a weak proxy, like every agent's world
+        replica = weakref.proxy(replica)
+        self._outer = outer
         self.n = outer.n
         self.f = outer.f
         self.sim = outer.sim
@@ -80,19 +91,18 @@ class _SlotWorld:
         # Share the outer world's observability mode: under "perf" the
         # slot protocol instances must not pay for transcripts either.
         self.instrumentation = outer.instrumentation
+        self._replica = replica
+        self._slot = slot
+
+    def __getattr__(self, name: str) -> Any:
         # Share the outer payload interner (equal per-slot vote cores
         # across replicas collapse to one object) and the outer memo
         # registry (slot checkers pool certificate verdicts; the memo
         # keys carry the registry and full checker configuration, so
         # pooling across slots is structurally safe).
-        intern = getattr(outer, "intern_payload", None)
-        if intern is not None:
-            self.intern_payload = intern
-        shared = getattr(outer, "shared_memo", None)
-        if shared is not None:
-            self.shared_memo = shared
-        self._replica = replica
-        self._slot = slot
+        if name in _SlotWorld._SHARED:
+            return getattr(self._outer, name)
+        raise AttributeError(name)
 
     def note_commit(
         self, party: PartyId, value: Any = None, time: float | None = None
@@ -127,6 +137,9 @@ class SmrReplica(Party):
         self.commit_times: dict[int, float] = {}
         self.results: list[Any] = []
         self._slots: dict[int, Party] = {}
+        #: The world each slot instance sees; the instance holds it
+        #: weakly, so the replica keeps it alive.
+        self._slot_worlds: dict[int, _SlotWorld] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -157,8 +170,9 @@ class SmrReplica(Party):
             if self.id == self.leader and slot < len(self.workload)
             else None
         )
+        slot_world = self._slot_worlds[slot] = _SlotWorld(self, slot)
         instance = self.protocol_cls(
-            _SlotWorld(self, slot),
+            slot_world,
             self.id,
             broadcaster=self.leader,
             input_value=command,

@@ -15,8 +15,8 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("b"))
         queue.push(1.0, lambda: fired.append("a"))
         queue.push(3.0, lambda: fired.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert fired == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
@@ -24,8 +24,8 @@ class TestEventQueue:
         fired = []
         for i in range(10):
             queue.push(1.0, lambda i=i: fired.append(i))
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert fired == list(range(10))
 
     def test_priority_beats_insertion_order(self):
@@ -33,8 +33,8 @@ class TestEventQueue:
         fired = []
         queue.push(1.0, lambda: fired.append("late"), priority=1)
         queue.push(1.0, lambda: fired.append("early"), priority=0)
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert fired == ["early", "late"]
 
     def test_cancelled_events_are_skipped(self):
@@ -43,8 +43,8 @@ class TestEventQueue:
         handle = queue.push(1.0, lambda: fired.append("x"))
         queue.push(2.0, lambda: fired.append("y"))
         handle.cancel()
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert fired == ["y"]
 
     def test_len_ignores_cancelled(self):
@@ -82,7 +82,7 @@ class TestEventQueue:
         handle = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         popped = queue.pop()
-        assert popped is handle
+        assert popped[6] is handle
         handle.cancel()  # already out of the heap: must be a no-op
         assert len(queue) == 1
         assert queue.pop() is not None
@@ -97,8 +97,8 @@ class TestEventQueue:
         # Compaction kicked in: the heap no longer holds the dead entries.
         assert len(queue._heap) < 500
         assert len(queue) == 1
-        event = queue.pop()
-        assert event is handles[499]
+        entry = queue.pop()
+        assert entry[6] is handles[499]
         assert queue.pop() is None
 
     def test_order_preserved_across_compaction(self):
@@ -111,8 +111,8 @@ class TestEventQueue:
         for i, handle in enumerate(handles):
             if i % 3 != 0:
                 handle.cancel()
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert fired == [i for i in range(300) if i % 3 == 0]
 
     def test_batch_equals_push_loop(self):
@@ -120,20 +120,48 @@ class TestEventQueue:
         looped = EventQueue()
         batched.push(1.0, _noop, order_key=b"x")
         looped.push(1.0, _noop, order_key=b"x")
+        times = [1.0, 2.0, 1.0, 1.0, 0.5]
         assert batched.push_batch(
-            1.0, _noop, [(r,) for r in range(5)], order_key=b"m",
+            [(t, _noop, (r,)) for r, t in enumerate(times)], order_key=b"m",
         ) == 5
-        for r in range(5):
-            looped.push(1.0, _noop, order_key=b"m", args=(r,))
+        for r, t in enumerate(times):
+            looped.push(t, _noop, order_key=b"m", args=(r,))
         out = []
         for queue in (batched, looped):
             seen = []
-            while (event := queue.pop()) is not None:
-                seen.append((event.time, event.order_key, event.seq, event.args))
+            while (entry := queue.pop()) is not None:
+                seen.append((entry[0], entry[2], entry[3], entry[5]))
             out.append(seen)
         assert out[0] == out[1]
-        # Key b"m" sorts before b"x": the batch pops first, in seq order.
-        assert [seq for _, _, seq, _ in out[0]] == [1, 2, 3, 4, 5, 0]
+        # Time first; at 1.0, key b"m" sorts before b"x", then seq order.
+        assert [seq for _, _, seq, _ in out[0]] == [5, 1, 3, 4, 0, 2]
+
+    @pytest.mark.parametrize("loop", ["run", "run_until", "run_before"])
+    def test_push_after_mid_run_compaction_fires(self, loop):
+        """An event cancels more than 64 pending timers, which compacts
+        the heap mid-run, then schedules a new event: the run loop must
+        still see that push (compaction rebuilds the heap in place)."""
+        sim = Simulator()
+        fired = []
+        timers = [
+            sim.schedule_at(5.0, fired.append, args=("timer",))
+            for _ in range(100)
+        ]
+
+        def cancel_then_push() -> None:
+            for timer in timers:
+                timer.cancel()
+            sim.schedule_at(2.0, fired.append, args=("pushed",))
+
+        sim.schedule_at(1.0, cancel_then_push)
+        if loop == "run":
+            sim.run()
+        elif loop == "run_until":
+            sim.run(until=10.0)
+        else:
+            sim.run_before(10.0)
+        assert fired == ["pushed"]
+        assert sim.pending_events() == 0
 
     @pytest.mark.parametrize("seed", [*range(8), *range(100, 104)])
     def test_randomized_scripts_pop_in_key_order(self, seed):
@@ -287,6 +315,12 @@ def _noop(*args) -> None:
     pass
 
 
+def _fire(entry: tuple) -> None:
+    """Run a popped ``(time, priority, order_key, seq, action, args,
+    handle)`` entry the way the simulator does."""
+    entry[4](*entry[5])
+
+
 #: A small time grid forces heavy tie-breaking on time.
 _TIMES = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0]
 _KEYS = [b"", b"a", b"b", b"zz"]
@@ -305,7 +339,9 @@ def _random_script(seed: int) -> list[tuple]:
             script.append(("push", time, priority, key))
             pushes += 1
         elif roll < 0.60:
-            script.append(("batch", time, priority, key, rng.randrange(1, 6)))
+            # Handle-free entries, each with its own time.
+            times = [rng.choice(_TIMES) for _ in range(rng.randrange(1, 6))]
+            script.append(("batch", priority, key, times))
         elif roll < 0.75 and pushes:
             script.append(("cancel", rng.randrange(pushes)))
         elif roll < 0.9:
@@ -326,25 +362,20 @@ def _replay_queue(script: list[tuple]) -> list[tuple]:
                 queue.push(time, _noop, priority=priority, order_key=key)
             )
         elif op[0] == "batch":
-            _, time, priority, key, count = op
+            _, priority, key, times = op
             queue.push_batch(
-                time, _noop, [(i,) for i in range(count)],
+                [(time, _noop, (i,)) for i, time in enumerate(times)],
                 priority=priority, order_key=key,
             )
         elif op[0] == "cancel":
             handles[op[1]].cancel()
         elif op[0] == "pop":
-            event = queue.pop()
-            log.append(
-                None if event is None else (
-                    event.time, event.priority, event.order_key, event.seq,
-                    event.args,
-                )
-            )
+            entry = queue.pop()
+            log.append(None if entry is None else entry[:4] + entry[5:6])
         else:
             log.append(("peek", queue.peek_time(), len(queue)))
-    while (event := queue.pop()) is not None:
-        log.append((event.time, event.priority, event.order_key, event.seq))
+    while (entry := queue.pop()) is not None:
+        log.append(entry[:4])
     log.append(("end", len(queue), queue.peek_time()))
     return log
 
@@ -362,8 +393,8 @@ def _replay_model(script: list[tuple]) -> list[tuple]:
             push_seqs.append(seq)
             seq += 1
         elif op[0] == "batch":
-            _, time, priority, key, count = op
-            for i in range(count):
+            _, priority, key, times = op
+            for i, time in enumerate(times):
                 live.append((time, priority, key, seq, (i,)))
                 seq += 1
         elif op[0] == "cancel":
@@ -392,9 +423,9 @@ def _cascade(*, until=None, max_events=None):
         log.append((sim.now, tag))
         if spawned[0] < 120:
             spawned[0] += 3
-            fanout = [(tag + k + 1,) for k in range(3)]
+            time = sim.now + rng.choice([0.0, 0.5, 1.0])
             sim.schedule_batch(
-                sim.now + rng.choice([0.0, 0.5, 1.0]), fire, fanout,
+                [(time, fire, (tag + k + 1,)) for k in range(3)],
                 order_key=bytes([tag % 5]),
             )
 

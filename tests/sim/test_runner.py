@@ -1,10 +1,13 @@
 """Tests for world construction and result collection."""
+import gc
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
-from repro.sim.runner import RunResult, World
+from repro.sim.runner import KERNEL_GC_THRESHOLD, RunResult, World
 
 
 class Committer(Party):
@@ -103,3 +106,64 @@ class TestCommitOrder:
         world.populate(lambda w, pid: Committer(w, pid))
         world.run()
         assert world.commit_order == [0, 1, 2]
+
+
+class _NegativeDelay(FixedDelay):
+    def delay(self, sender, recipient, payload, now):
+        return -1.0
+
+    def delays_for_multicast(self, sender, recipients, payload, now):
+        return [-1.0] * len(recipients)
+
+
+class _Multicaster(Party):
+    """Multicasts on start and records the collector thresholds it runs
+    under."""
+
+    seen: list = []
+
+    def on_start(self):
+        _Multicaster.seen.append(gc.get_threshold())
+        self.multicast(("hello", self.id))
+
+
+class TestKernelGcPolicy:
+    """``World.run`` raises the collector thresholds for the kernel loop
+    only: the caller's thresholds are back afterwards, however the run
+    ends."""
+
+    CALLER = (900, 11, 12)
+
+    @pytest.fixture(autouse=True)
+    def caller_thresholds(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CALLER)
+        _Multicaster.seen = []
+        try:
+            yield
+        finally:
+            gc.set_threshold(*saved)
+
+    def test_normal_run_restores(self):
+        world = World(n=4, f=1, delay_policy=FixedDelay(1.0))
+        world.populate(_Multicaster)
+        world.run()
+        assert _Multicaster.seen == [KERNEL_GC_THRESHOLD] * 4
+        assert gc.get_threshold() == self.CALLER
+
+    def test_raising_run_restores(self):
+        world = World(n=4, f=1, delay_policy=_NegativeDelay(1.0))
+        world.populate(_Multicaster)
+        with pytest.raises(SimulationError, match="negative delay"):
+            world.run()
+        assert gc.get_threshold() == self.CALLER
+
+    def test_sharded_run_restores_in_parent(self):
+        world = World(
+            n=8, f=2, delay_policy=FixedDelay(1.0), instrumentation="perf",
+            shards=2,
+        )
+        world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+        result = world.run()
+        assert result.shards == 2 and result.all_honest_committed()
+        assert gc.get_threshold() == self.CALLER
